@@ -5,15 +5,14 @@ univariate activations are single-qubit data re-uploading circuits,
 plus pruning, interpretability fits, a B-spline baseline, and a CLI.
 """
 
-from .qsim import rx, ry, rz, zero_state, apply_gate, apply_cnot, expectation_z
 from .dr import (
     DEFAULT_TEMPLATE,
     SU2_TEMPLATE,
+    CapacityError,
     DRParams,
     GateTemplate,
     dr_forward,
     dr_forward_batch,
-    dr_forward_multiqubit,
     dr_gradient,
     init_dr_params,
 )

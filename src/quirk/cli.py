@@ -240,10 +240,13 @@ def _build_spec(cfg, input_dim: int):
         raise ConfigError(
             f"[model] shape starts with {shape[0]} inputs but the dataset "
             f"has {input_dim} feature(s)")
-    return spec_from_shape(shape, dr_layers=m["dr_layers"],
-                           dense_head=m["dense_head"], bias_flag=m["bias_flag"],
-                           seed=m["seed"], qubits_per_edge=m["qubits_per_edge"],
-                           entangle=m["entangle"], template=m["template"])
+    try:
+        return spec_from_shape(shape, dr_layers=m["dr_layers"],
+                               dense_head=m["dense_head"], bias_flag=m["bias_flag"],
+                               seed=m["seed"], qubits_per_edge=m["qubits_per_edge"],
+                               entangle=m["entangle"], template=m["template"])
+    except ValueError as exc:
+        raise ConfigError(f"[model] {exc}")
 
 
 def _train_config(cfg) -> TrainConfig:

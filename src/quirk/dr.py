@@ -1,4 +1,4 @@
-"""Data re-uploading (DR) activations: one qubit, L layers, exact gradients.
+"""Data re-uploading (DR) activations: n qubits, L layers, exact gradients.
 
 A DR circuit alternates an encoding rotation fed by the input with
 trainable rotations fed by angles::
@@ -6,27 +6,41 @@ trainable rotations fed by angles::
     |0> -- RY(x) RZ(t[0,0]) RX(t[0,1]) -- RY(x) RZ(t[1,0]) RX(t[1,1]) -- ... --< Z >
 
 The readout is <Z> of the final state, a smooth function of x in [-1, 1].
+An n-qubit edge runs every gate of a layer on each qubit (with its own
+angles), optionally followed by a ring of CNOTs, and reads <Z> on qubit 0.
 Gradients with respect to every angle (and x itself) are computed in one
-reverse sweep over the cached per-gate states, so the cost is O(L) per
-sample; the parameter-shift rule exists in the test suite as an
+adjoint reverse sweep over the cached per-gate states, so the cost is O(L)
+per sample; the parameter-shift rule exists in the test suite as an
 independent oracle, not here.
 
-Internally everything is vectorized: the kernels accept an input array of
-any shape together with a stacked theta array ``(L, ..., P)`` whose middle
-axes broadcast against the input, which is how a whole network layer
-(batch x edges) is evaluated in one pass.
+Internally everything is vectorized: the kernel accepts an input array of
+any shape together with a stacked theta array ``(L, ..., P)`` (one qubit)
+or ``(L, ..., n, P)`` whose middle axes broadcast against the input, which
+is how a whole network layer (batch x edges) is evaluated in one pass.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .qsim import DEFAULT_MAX_QUBITS, zero_state
-
 _GATE_KINDS = ("rx", "ry", "rz")
+
+# registers beyond this many qubits fail at construction: 2^n amplitude
+# arrays per edge grow fast, and an accidental n=30 should not swap
+MAX_QUBITS = 5
+
+
+class CapacityError(ValueError):
+    """Raised when a circuit would exceed MAX_QUBITS qubits."""
+
+
+def _check_capacity(num_qubits: int) -> None:
+    if num_qubits > MAX_QUBITS:
+        raise CapacityError(f"{num_qubits} qubits exceeds the cap of {MAX_QUBITS}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +95,7 @@ class DRParams:
         self.thetas = np.asarray(self.thetas, dtype=np.float64)
         if self.num_qubits < 1:
             raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        _check_capacity(self.num_qubits)
         want = 2 if self.num_qubits == 1 else 3
         if self.thetas.ndim != want:
             raise ValueError(
@@ -158,23 +173,29 @@ def _clamp_domain(xs: np.ndarray, clamp: bool) -> np.ndarray:
     return xs
 
 
-# --- single-qubit kernel ----------------------------------------------------
-# States are kept as two separate complex arrays (amp0, amp1) so every gate is
-# a handful of broadcast multiplies.
+# --- kernel -----------------------------------------------------------------
+# An n-qubit state is a list of 2^n complex amplitude arrays (qubit 0 is the
+# most significant bit of the list index), each broadcast over the batch, so
+# a gate is a handful of broadcast multiplies per amplitude pair and a CNOT
+# only reorders the list.
 
 
-def _gate_apply(kind: str, a, s0, s1):
+def _gate_coeffs(kind: str, a):
+    # (cos, sin) of the half angle, or the RZ phase pair
+    if kind == "rz":
+        p = np.exp(-0.5j * np.asarray(a))
+        return p, np.conj(p)
+    half = a / 2.0
+    return np.cos(half), np.sin(half)
+
+
+def _gate_apply(kind: str, coeffs, s0, s1):
+    c, s = coeffs
     if kind == "rx":
-        c = np.cos(a / 2.0)
-        s = np.sin(a / 2.0)
         return c * s0 - 1j * s * s1, -1j * s * s0 + c * s1
     if kind == "ry":
-        c = np.cos(a / 2.0)
-        s = np.sin(a / 2.0)
         return c * s0 - s * s1, s * s0 + c * s1
-    # rz
-    p = np.exp(-0.5j * np.asarray(a))
-    return p * s0, np.conj(p) * s1
+    return c * s0, s * s1  # rz
 
 
 def _pauli_apply(kind: str, s0, s1):
@@ -186,206 +207,151 @@ def _pauli_apply(kind: str, s0, s1):
     return s0, -s1  # rz
 
 
-def _angles(xs, thetas, l: int, source):
-    return xs if source == "input" else thetas[l, ..., source]
-
-
-def _forward_1q(xs: np.ndarray, thetas: np.ndarray, template: GateTemplate) -> np.ndarray:
-    """<Z> for inputs ``xs`` (any shape) against stacked ``thetas`` (L, ..., P)."""
-    batch = np.broadcast_shapes(xs.shape, thetas.shape[1:-1])
-    s0 = np.ones(batch, dtype=np.complex128)
-    s1 = np.zeros(batch, dtype=np.complex128)
-    for l in range(thetas.shape[0]):
+@lru_cache(maxsize=None)
+def _ops(n: int, entangle: bool, template: GateTemplate, L: int) -> tuple:
+    """The circuit as a flat op list.  A rotation is (kind, index, pairs):
+    its angle is thetas[index] (the input when index is None) and it mixes
+    the amplitude pairs (i, i | bit) of its qubit.  An entangling ring of
+    CNOTs (0->1, ..., n-1->0) is ("cnot", perm, inverse) with
+    new_state[i] = state[perm[i]]."""
+    dim = 2**n
+    ops = []
+    for l in range(L):
         for kind, source in template.gates:
-            s0, s1 = _gate_apply(kind, _angles(xs, thetas, l, source), s0, s1)
-    return (s0.real**2 + s0.imag**2) - (s1.real**2 + s1.imag**2)
+            for q in range(n):
+                bit = 1 << (n - 1 - q)
+                pairs = tuple((i, i | bit) for i in range(dim) if not i & bit)
+                index = (None if source == "input"
+                         else (l, ..., source) if n == 1 else (l, ..., q, source))
+                ops.append((kind, index, pairs))
+        if entangle and n > 1:
+            perm = list(range(dim))
+            for c in range(n):
+                cbit, tbit = 1 << (n - 1 - c), 1 << (n - 1 - (c + 1) % n)
+                perm = [perm[i ^ tbit if i & cbit else i] for i in range(dim)]
+            inverse = sorted(range(dim), key=perm.__getitem__)
+            ops.append(("cnot", tuple(perm), tuple(inverse)))
+    return tuple(ops)
 
 
-def _grad_1q(xs: np.ndarray, thetas: np.ndarray, template: GateTemplate):
+def _setup(xs: np.ndarray, thetas: np.ndarray, n: int):
+    # returns (batch shape, |0...0>); thetas end in (P,) or (n, P)
+    batch = np.broadcast_shapes(xs.shape, thetas.shape[1:-1] if n == 1 else thetas.shape[1:-2])
+    state = [np.ones(batch, dtype=np.complex128)]
+    state += [np.zeros(batch, dtype=np.complex128) for _ in range(2**n - 1)]
+    return batch, state
+
+
+def _sweep(state: list, ops, xs: np.ndarray, thetas: np.ndarray, trace=None) -> list:
+    """Run ``ops`` on ``state`` in place; with a ``trace`` list, also keep a
+    copy of the state after each op."""
+    encode = {}  # every encoding gate of one kind shares its coefficients
+    for kind, index, pairs in ops:
+        if kind == "cnot":  # index holds perm
+            state[:] = [state[i] for i in index]
+        else:
+            if index is not None:
+                coeffs = _gate_coeffs(kind, thetas[index])
+            elif kind in encode:
+                coeffs = encode[kind]
+            else:
+                coeffs = encode[kind] = _gate_coeffs(kind, xs)
+            for i, j in pairs:
+                state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
+        if trace is not None:
+            trace.append(list(state))
+    return state
+
+
+def _z0(state: list) -> np.ndarray:
+    # <Z> on qubit 0: the first half of the list has it in |0>
+    half = len(state) // 2
+    p = [s.real**2 + s.imag**2 for s in state]
+    return sum(p[1:half], p[0]) - sum(p[half + 1:], p[half])
+
+
+def _forward(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
+             template: GateTemplate) -> np.ndarray:
+    """<Z> for inputs ``xs`` (any shape) against stacked ``thetas``
+    (L, ..., P) for n = 1 or (L, ..., n, P)."""
+    _, state = _setup(xs, thetas, n)
+    return _z0(_sweep(state, _ops(n, entangle, template, thetas.shape[0]), xs, thetas))
+
+
+def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
+          template: GateTemplate):
     """Forward value plus exact per-sample gradients.
 
     Returns (f, dx, dtheta) with f, dx shaped like the broadcast batch and
-    dtheta shaped (L,) + batch + (P,).  dx sums the contributions of every
-    encoding gate; dtheta entries sit at their (layer, param-index) slot.
+    dtheta shaped (L,) + batch + thetas' trailing (P,) or (n, P).  dx sums
+    the contributions of every encoding gate; dtheta entries sit at their
+    (layer, [qubit,] param-index) slot.
     """
-    L = thetas.shape[0]
-    P = thetas.shape[-1]
-    batch = np.broadcast_shapes(xs.shape, thetas.shape[1:-1])
-    s0 = np.ones(batch, dtype=np.complex128)
-    s1 = np.zeros(batch, dtype=np.complex128)
-    trace = []  # (kind, source, layer, angle, state after the gate)
-    for l in range(L):
-        for kind, source in template.gates:
-            a = _angles(xs, thetas, l, source)
-            s0, s1 = _gate_apply(kind, a, s0, s1)
-            trace.append((kind, source, l, a, s0, s1))
-    f = (s0.real**2 + s0.imag**2) - (s1.real**2 + s1.imag**2)
+    batch, state = _setup(xs, thetas, n)
+    ops = _ops(n, entangle, template, thetas.shape[0])
+    trace = []  # state after each op
+    f = _z0(_sweep(state, ops, xs, thetas, trace))
 
-    # reverse sweep: lam holds Z psi_N, then G_k^dagger pulls it back; the
+    # reverse sweep: lam holds Z_0 psi_N, then G_k^dagger pulls it back; the
     # derivative through gate k is Im <lam | P_k | psi_{k+1}>
-    lam0, lam1 = s0, -s1
+    half = len(state) // 2
+    lam = state[:half] + [-s for s in state[half:]]
     dx = np.zeros(batch)
-    dtheta = np.zeros((L,) + batch + (P,))
-    for kind, source, l, a, t0, t1 in reversed(trace):
-        p0, p1 = _pauli_apply(kind, t0, t1)
-        g = (np.conj(lam0) * p0 + np.conj(lam1) * p1).imag
-        if source == "input":
-            dx += g
-        else:
-            dtheta[l, ..., source] += g
-        lam0, lam1 = _gate_apply(kind, np.negative(a), lam0, lam1)
-    return f, dx, dtheta
-
-
-# --- multi-qubit kernel -----------------------------------------------------
-# States are (batch,) + (2,)*n tensors; qubit q lives on axis 1+q (qubit 0 is
-# the most significant bit, matching qsim).
-
-
-def _apply_1q_tensor(kind: str, a, st: np.ndarray, q: int):
-    t = np.moveaxis(st, 1 + q, -1)
-    aa = np.asarray(a)
-    if aa.ndim:
-        aa = aa.reshape((-1,) + (1,) * (t.ndim - 2))
-    n0, n1 = _gate_apply(kind, aa, t[..., 0], t[..., 1])
-    return np.moveaxis(np.stack([n0, n1], axis=-1), -1, 1 + q)
-
-
-def _pauli_1q_tensor(kind: str, st: np.ndarray, q: int):
-    t = np.moveaxis(st, 1 + q, -1)
-    p0, p1 = _pauli_apply(kind, t[..., 0], t[..., 1])
-    return np.moveaxis(np.stack([p0, p1], axis=-1), -1, 1 + q)
-
-
-def _apply_cnot_tensor(st: np.ndarray, control: int, target: int):
-    out = st.copy()
-    sel = [slice(None)] * st.ndim
-    sel[1 + control] = 1
-    ax = 1 + target - (1 if target > control else 0)
-    out[tuple(sel)] = np.flip(out[tuple(sel)], axis=ax)
-    return out
-
-
-def _ring(n: int):
-    # (0->1, 1->2, ..., n-1->0)
-    return [(q, (q + 1) % n) for q in range(n)]
-
-
-def _multiqubit_ops(params: DRParams):
-    """Flattened gate list: ('gate', kind, qubit, source, layer) / ('cnot', c, t)."""
-    ops = []
-    n = params.num_qubits
-    for l in range(params.num_layers):
-        for kind, source in params.template.gates:
-            for q in range(n):
-                ops.append(("gate", kind, q, source, l))
-        if params.entangle:
-            for c, t in _ring(n):
-                ops.append(("cnot", c, t))
-    return ops
-
-
-def _forward_multi(xs: np.ndarray, params: DRParams, max_qubits: int, keep_trace: bool):
-    n = params.num_qubits
-    zero_state(n, max_qubits=max_qubits)  # capacity check
-    B = xs.shape[0]
-    st = np.zeros((B,) + (2,) * n, dtype=np.complex128)
-    st[(slice(None),) + (0,) * n] = 1.0
-    trace = []
-    for op in _multiqubit_ops(params):
-        if op[0] == "cnot":
-            st = _apply_cnot_tensor(st, op[1], op[2])
-        else:
-            _, kind, q, source, l = op
-            a = xs if source == "input" else params.thetas[l, q, source]
-            st = _apply_1q_tensor(kind, a, st, q)
-        if keep_trace:
-            trace.append(st)
-    probs = st.real**2 + st.imag**2
-    axes = tuple(range(2, probs.ndim))
-    marg = probs.sum(axis=axes) if axes else probs  # (B, 2) over qubit 0
-    f = marg[:, 0] - marg[:, 1]
-    return f, st, trace
-
-
-def _grad_multi(xs: np.ndarray, params: DRParams, max_qubits: int):
-    ops = _multiqubit_ops(params)
-    f, st, trace = _forward_multi(xs, params, max_qubits, keep_trace=True)
-    B = xs.shape[0]
-    L, n, P = params.thetas.shape
-
-    lam = st.copy()
-    sel = [slice(None)] * lam.ndim
-    sel[1] = 1
-    lam[tuple(sel)] *= -1.0  # Z on qubit 0
-
-    dx = np.zeros(B)
-    dtheta = np.zeros((L, B, n, P))
-    axes = tuple(range(1, lam.ndim))
-    for k in range(len(ops) - 1, -1, -1):
-        op = ops[k]
-        psi = trace[k]
-        if op[0] == "cnot":
-            lam = _apply_cnot_tensor(lam, op[1], op[2])
+    encode = {}
+    dtheta = np.zeros(thetas.shape[:1] + batch
+                      + (thetas.shape[-1:] if n == 1 else thetas.shape[-2:]))
+    for (kind, index, pairs), psi in zip(reversed(ops), reversed(trace)):
+        if kind == "cnot":  # pairs holds the inverse permutation
+            lam = [lam[i] for i in pairs]
             continue
-        _, kind, q, source, l = op
-        p = _pauli_1q_tensor(kind, psi, q)
-        g = np.sum(np.conj(lam) * p, axis=axes).imag
-        if source == "input":
-            dx += g
+        g = None
+        for i, j in pairs:
+            p0, p1 = _pauli_apply(kind, psi[i], psi[j])
+            t = np.conj(lam[i]) * p0 + np.conj(lam[j]) * p1
+            g = t if g is None else g + t
+        g = g.imag
+        if index is not None:
+            dtheta[index] += g
+            coeffs = _gate_coeffs(kind, np.negative(thetas[index]))
         else:
-            dtheta[l, :, q, source] += g
-        a = xs if source == "input" else params.thetas[l, q, source]
-        lam = _apply_1q_tensor(kind, np.negative(a), lam, q)
+            dx += g
+            if kind not in encode:
+                encode[kind] = _gate_coeffs(kind, np.negative(xs))
+            coeffs = encode[kind]
+        for i, j in pairs:
+            lam[i], lam[j] = _gate_apply(kind, coeffs, lam[i], lam[j])
     return f, dx, dtheta
 
 
 # --- public ops -------------------------------------------------------------
 
 
-def dr_forward(x: float, params: DRParams, clamp: bool = True,
-               max_qubits: int = DEFAULT_MAX_QUBITS) -> float:
+def dr_forward(x: float, params: DRParams, clamp: bool = True) -> float:
     """<Z> readout of the DR circuit at input ``x`` (radians in [0, pi]).
 
     Out-of-domain inputs are clamped (with a warning) unless ``clamp`` is
     False, in which case the raw 4pi-periodic circuit value is returned.
     """
     return float(dr_forward_batch(np.array([x], dtype=np.float64), params,
-                                  clamp=clamp, max_qubits=max_qubits)[0])
+                                  clamp=clamp)[0])
 
 
-def dr_forward_batch(xs, params: DRParams, clamp: bool = True,
-                     max_qubits: int = DEFAULT_MAX_QUBITS) -> np.ndarray:
+def dr_forward_batch(xs, params: DRParams, clamp: bool = True) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.size == 0:
         return np.zeros(xs.shape)
     xs = _clamp_domain(xs, clamp)
-    if params.num_qubits == 1:
-        return _forward_1q(xs, params.thetas, params.template)
-    flat = xs.reshape(-1)
-    f, _, _ = _forward_multi(flat, params, max_qubits, keep_trace=False)
-    return f.reshape(xs.shape)
+    return _forward(xs, params.thetas, params.num_qubits, params.entangle,
+                    params.template)
 
 
-def dr_forward_multiqubit(x: float, params: DRParams,
-                          max_qubits: int = DEFAULT_MAX_QUBITS,
-                          clamp: bool = True) -> float:
-    """Multi-qubit DR readout (<Z> on qubit 0); requires num_qubits >= 2."""
-    if params.num_qubits < 2:
-        raise ValueError("dr_forward_multiqubit needs num_qubits >= 2; use dr_forward")
-    return dr_forward(x, params, clamp=clamp, max_qubits=max_qubits)
-
-
-def dr_gradient(x: float, params: DRParams, clamp: bool = True,
-                max_qubits: int = DEFAULT_MAX_QUBITS):
+def dr_gradient(x: float, params: DRParams, clamp: bool = True):
     """Exact (dtheta, dx) of dr_forward at ``x``.
 
     dtheta matches params.thetas in shape; dx folds in all L encoding gates.
     """
     xs = np.array([x], dtype=np.float64)
     xs = _clamp_domain(xs, clamp)
-    if params.num_qubits == 1:
-        _, dx, dtheta = _grad_1q(xs, params.thetas[:, None, :], params.template)
-        return dtheta[:, 0, :], float(dx[0])
-    _, dx, dtheta = _grad_multi(xs, params, max_qubits)
-    return dtheta[:, 0, :, :], float(dx[0])
+    _, dx, dtheta = _grad(xs, params.thetas[:, None], params.num_qubits,
+                          params.entangle, params.template)
+    return dtheta[:, 0], float(dx[0])

@@ -13,8 +13,10 @@ on training data (min, max) -> [0, pi]; inference clamps.
 Parameters are stored stacked per layer -- thetas[k] has shape
 (L, fan_in, units, P) for single-qubit edges, (L, fan_in, units, n, P)
 for n-qubit edges -- so a whole layer evaluates in one vectorized kernel
-call.  ``edge_active`` boolean masks support pruning: an inactive edge
-contributes nothing, is not trained, and is not counted.
+call whatever its qubit count (the no-gradient pass splits big batches
+into row blocks to bound memory).  ``edge_active`` boolean masks support
+pruning: an inactive edge contributes nothing, is not trained, and is not
+counted.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dr import (
-    DEFAULT_TEMPLATE,
-    DRParams,
-    GateTemplate,
-    _forward_1q,
-    _forward_multi,
-    _grad_1q,
-    _grad_multi,
-)
-from .qsim import DEFAULT_MAX_QUBITS
+from .dr import DEFAULT_TEMPLATE, DRParams, GateTemplate, _check_capacity, _forward, _grad
 
 
 class ModelFormatError(ValueError):
@@ -59,6 +52,7 @@ class LayerSpec:
         for name in ("fan_in", "units", "dr_layers", "qubits_per_edge"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_capacity(self.qubits_per_edge)
 
     @property
     def edges(self) -> int:
@@ -160,12 +154,18 @@ class Model:
                 raise ValueError(
                     f"layer {k}: edge_active shape {self.edge_active[k].shape} "
                     f"!= {(layer.fan_in, layer.units)}")
+            if not np.all(np.isfinite(self.thetas[k])):
+                raise ValueError(f"layer {k}: all angles must be finite")
+        if not (np.isfinite(self.dense_w) and np.isfinite(self.dense_b)):
+            raise ValueError("dense head weight and bias must be finite")
         if self.input_norm is not None:
             self.input_norm = np.asarray(self.input_norm, dtype=np.float64)
             if self.input_norm.shape != (self.spec.input_dim, 2):
                 raise ValueError(
                     f"input_norm shape {self.input_norm.shape} != "
                     f"{(self.spec.input_dim, 2)}")
+            if not np.all(np.isfinite(self.input_norm)):
+                raise ValueError("input_norm must be finite")
             if not np.all(self.input_norm[:, 0] < self.input_norm[:, 1]):
                 raise ValueError("input_norm requires min < max per feature")
 
@@ -255,46 +255,31 @@ def _unit_divisors(layer: LayerSpec, active: np.ndarray) -> np.ndarray:
     return np.maximum(counts, 1.0)
 
 
+# the no-gradient pass runs in row blocks of at most this many amplitudes
+# (rows x edges x 2^n), which bounds the kernel's peak memory on big batches
+_BLOCK_AMPLITUDES = 2**16
+
+
 def _layer_eval(h: np.ndarray, layer: LayerSpec, thetas: np.ndarray,
                 active: np.ndarray, template: GateTemplate, want_grads: bool):
     """Evaluate one layer on normalized inputs h (B, fan_in).
 
-    Returns (unit_sums (B, units), edge_vals (B, fan_in, units), edge_dx,
-    edge_dtheta); the gradient pieces are None unless requested.  Inactive
-    edges contribute nothing and report zero gradients.
+    Every edge of the layer runs in one broadcast kernel call over
+    (B, fan_in, units).  Returns (unit_sums (B, units), edge_vals
+    (B, fan_in, units), edge_dx, edge_dtheta); the gradient pieces are None
+    unless requested.  Inactive edges contribute nothing and report zero dx.
     """
-    B = h.shape[0]
-    mask = active.astype(np.float64)
-    if layer.qubits_per_edge == 1:
-        x = h[:, :, None]  # broadcast over units
-        if want_grads:
-            f, dx, dth = _grad_1q(x, thetas, template)
-        else:
-            f = _forward_1q(x, thetas, template)
-            dx = dth = None
+    x = h[:, :, None]  # broadcast over units
+    wiring = (layer.qubits_per_edge, layer.entangle, template)
+    if want_grads:
+        f, dx, dth = _grad(x, thetas, *wiring)
     else:
-        f = np.empty((B, layer.fan_in, layer.units))
-        dx = np.empty_like(f) if want_grads else None
-        dth = (np.empty((layer.dr_layers, B) + thetas.shape[1:], dtype=np.float64)
-               if want_grads else None)
-        for i in range(layer.fan_in):
-            for u in range(layer.units):
-                if not active[i, u]:
-                    f[:, i, u] = 0.0
-                    if want_grads:
-                        dx[:, i, u] = 0.0
-                        dth[:, :, i, u] = 0.0
-                    continue
-                p = DRParams(thetas[:, i, u], num_qubits=layer.qubits_per_edge,
-                             entangle=layer.entangle, template=template)
-                if want_grads:
-                    fv, dxe, dthe = _grad_multi(h[:, i], p, DEFAULT_MAX_QUBITS)
-                    f[:, i, u] = fv
-                    dx[:, i, u] = dxe
-                    dth[:, :, i, u] = dthe
-                else:
-                    fv, _, _ = _forward_multi(h[:, i], p, DEFAULT_MAX_QUBITS, False)
-                    f[:, i, u] = fv
+        rows = max(1, _BLOCK_AMPLITUDES // (layer.edges * 2**layer.qubits_per_edge))
+        f = np.empty((h.shape[0], layer.fan_in, layer.units))
+        for r in range(0, h.shape[0], rows):
+            f[r:r + rows] = _forward(x[r:r + rows], thetas, *wiring)
+        dx = dth = None
+    mask = active.astype(np.float64)
     f = f * mask
     if want_grads:
         dx = dx * mask
@@ -338,6 +323,8 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     if X.shape[1] != model.spec.input_dim:
         raise ValueError(
             f"expected {model.spec.input_dim} features, got {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
     h = apply_input_norm(model.input_norm, X)
     caches = []
     v = None
@@ -403,15 +390,10 @@ def network_backward(X, y, model: Model):
         cot = r[:, None]
 
     for k in range(len(model.spec.layers) - 1, -1, -1):
-        layer = model.spec.layers[k]
         cache = caches[k]
         mask = model.edge_active[k].astype(np.float64)
         edge_cot = cot[:, None, :] * mask  # (B, fan_in, units)
-        dth = cache["dth"]
-        if layer.qubits_per_edge == 1:
-            grads.thetas[k] = np.einsum("lbiup,biu->liup", dth, edge_cot)
-        else:
-            grads.thetas[k] = np.einsum("lbiunp,biu->liunp", dth, edge_cot)
+        grads.thetas[k] = np.einsum("lbiu...,biu->liu...", cache["dth"], edge_cot)
         if k > 0:
             dh = np.einsum("biu,biu->bi", cache["dx"], edge_cot)
             div = caches[k - 1]["div"]
@@ -587,13 +569,13 @@ def load_model(path) -> Model:
     if sorted(layer_rows) != list(range(n_layers)):
         raise ModelFormatError(
             f"expected layer rows 0..{n_layers - 1}, got {sorted(layer_rows)}")
-    layers = tuple(
-        LayerSpec(fan_in=layer_rows[k]["fan_in"], units=layer_rows[k]["units"],
-                  dr_layers=layer_rows[k]["dr_layers"],
-                  qubits_per_edge=layer_rows[k]["qubits_per_edge"],
-                  entangle=bool(layer_rows[k]["entangle"]))
-        for k in range(n_layers))
     try:
+        layers = tuple(
+            LayerSpec(fan_in=layer_rows[k]["fan_in"], units=layer_rows[k]["units"],
+                      dr_layers=layer_rows[k]["dr_layers"],
+                      qubits_per_edge=layer_rows[k]["qubits_per_edge"],
+                      entangle=bool(layer_rows[k]["entangle"]))
+            for k in range(n_layers))
         spec = NetworkSpec(input_dim=fields["input_dim"], layers=layers,
                            dense_head=bool(fields["dense_head"]),
                            bias_flag=fields["bias_flag"], seed=fields["seed"],

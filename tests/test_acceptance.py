@@ -16,13 +16,12 @@ import pytest
 import oracles
 from quirk.bspline import fit as fit_bspline
 from quirk.data import Dataset, generate, generate_univariate, target_scale
-from quirk.dr import (DEFAULT_TEMPLATE, SU2_TEMPLATE, DRParams, dr_forward,
-                      dr_forward_multiqubit, dr_gradient, init_dr_params)
+from quirk.dr import (DEFAULT_TEMPLATE, SU2_TEMPLATE, DRParams, GateTemplate,
+                      dr_forward, dr_forward_batch, dr_gradient, init_dr_params)
 from quirk.interpret import report as interpret_report
 from quirk.network import (Model, _forward_pass, fit_input_norm, init_model,
                            load_model, network_backward, network_forward,
                            param_count, rescale, save_model, spec_from_shape)
-from quirk.qsim import apply_gate, expectation_z, ry, rz, zero_state
 from quirk.train import TrainConfig, prune, rmse, train
 
 _cache = {}
@@ -64,17 +63,20 @@ def _test_rmse(model, ds):
 def test_criterion_1_circuit_identities():
     t0 = time.perf_counter()
     grid = np.linspace(0.0, 2 * np.pi, 1000)
-    worst_ry = max(
-        abs(expectation_z(apply_gate(zero_state(1), ry(x), 0), 0) - np.cos(x))
-        for x in grid)
+    ry_only = DRParams(np.zeros((1, 0)), template=GateTemplate((("ry", "input"),)))
+    worst_ry = float(np.max(np.abs(
+        dr_forward_batch(grid, ry_only, clamp=False) - np.cos(grid))))
+    # a trailing RZ only changes phases, so <Z> must not move
     rng = np.random.default_rng(0)
+    rz_last = GateTemplate((("ry", "input"), ("rx", 0), ("ry", 1), ("rz", 2)))
     worst_rz = 0.0
     for _ in range(100):
-        raw = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = raw / np.linalg.norm(raw)
-        phased = apply_gate(state, rz(rng.uniform(-np.pi, np.pi)), 0)
-        worst_rz = max(worst_rz,
-                       abs(expectation_z(phased, 0) - expectation_z(state, 0)))
+        thetas = rng.uniform(-np.pi, np.pi, (1, 3))
+        x = rng.uniform(0, np.pi)
+        zeroed = thetas.copy()
+        zeroed[0, 2] = 0.0
+        worst_rz = max(worst_rz, abs(dr_forward(x, DRParams(thetas, template=rz_last))
+                                     - dr_forward(x, DRParams(zeroed, template=rz_last))))
     ok = worst_ry <= 1e-12 and worst_rz <= 1e-12
     _line(1, "circuit identities", t0, 1.0, ok,
           f"max |<Z>-cos(x)|={worst_ry:.2e}, max rz-phase drift={worst_rz:.2e}"
@@ -254,7 +256,7 @@ def test_criterion_8_multiqubit_consistency():
         p = init_dr_params(int(rng.integers(1, 4)), rng, num_qubits=2,
                            entangle=False)
         x = float(rng.uniform(0, np.pi))
-        got = dr_forward_multiqubit(x, p)
+        got = dr_forward(x, p)
         want = dr_forward(x, DRParams(p.thetas[:, 0, :]))
         worst_single = max(worst_single, abs(got - want))
     worst_oracle = 0.0
@@ -263,7 +265,7 @@ def test_criterion_8_multiqubit_consistency():
         p = init_dr_params(int(rng.integers(1, 3)), rng, num_qubits=n,
                            entangle=True)
         x = float(rng.uniform(0, np.pi))
-        got = dr_forward_multiqubit(x, p)
+        got = dr_forward(x, p)
         want = oracles.naive_dr_forward(x, p.thetas, num_qubits=n, entangle=True)
         worst_oracle = max(worst_oracle, abs(got - want))
     ok = worst_single <= 1e-12 and worst_oracle <= 1e-12

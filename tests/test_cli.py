@@ -117,6 +117,12 @@ class TestTrain:
         assert main(["train", "--config", p]) == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_qubit_cap_is_config_error(self, tmp_path, capsys):
+        p = cfg_file(tmp_path, "[dataset]\nequation = x2-y2\nn_samples = 50\n"
+                               "[model]\nqubits_per_edge = 6\n")
+        assert main(["train", "--config", p]) == 2
+        assert "6 qubits" in capsys.readouterr().err
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.cfg")]) == 1
 

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quirk.dr as drmod
 from quirk.dr import (
     DEFAULT_TEMPLATE,
+    MAX_QUBITS,
     SU2_TEMPLATE,
+    CapacityError,
     DRParams,
     GateTemplate,
     clamp_event_count,
     dr_forward,
     dr_forward_batch,
-    dr_forward_multiqubit,
     dr_gradient,
     init_dr_params,
     reset_clamp_event_count,
 )
-from quirk.qsim import CapacityError
+from quirk.network import (LayerSpec, ModelFormatError, init_model, load_model,
+                           save_model, spec_from_shape)
 
 import oracles
 
@@ -157,14 +161,14 @@ class TestMultiQubit:
             p = init_dr_params(L, rng, num_qubits=2, entangle=False)
             single = DRParams(p.thetas[:, 0, :])
             x = rng.uniform(0, np.pi)
-            assert dr_forward_multiqubit(x, p) == pytest.approx(
+            assert dr_forward(x, p) == pytest.approx(
                 dr_forward(x, single), abs=1e-12)
 
     def test_entangled_all_zero_thetas_vs_oracle(self):
         p = DRParams(np.zeros((1, 2, 2)), num_qubits=2, entangle=True)
         for x in np.linspace(0, np.pi, 9):
             want = oracles.naive_dr_forward(x, p.thetas, num_qubits=2, entangle=True)
-            assert dr_forward_multiqubit(x, p) == pytest.approx(want, abs=1e-12)
+            assert dr_forward(x, p) == pytest.approx(want, abs=1e-12)
 
     def test_entangled_random_vs_oracle(self):
         rng = np.random.default_rng(77)
@@ -172,7 +176,7 @@ class TestMultiQubit:
             p = init_dr_params(2, rng, num_qubits=n, entangle=True)
             x = rng.uniform(0, np.pi)
             want = oracles.naive_dr_forward(x, p.thetas, num_qubits=n, entangle=True)
-            assert dr_forward_multiqubit(x, p) == pytest.approx(want, abs=1e-12)
+            assert dr_forward(x, p) == pytest.approx(want, abs=1e-12)
 
     def test_entangled_gradients_vs_shift_rule(self):
         rng = np.random.default_rng(88)
@@ -186,20 +190,48 @@ class TestMultiQubit:
             oracles.shift_rule_dx(x, p.thetas, num_qubits=3, entangle=True), abs=1e-10)
 
     def test_capacity_error(self):
-        p = init_dr_params(1, np.random.default_rng(0), num_qubits=6)
+        assert MAX_QUBITS == 5
         with pytest.raises(CapacityError):
-            dr_forward_multiqubit(0.5, p, max_qubits=5)
+            init_dr_params(1, np.random.default_rng(0), num_qubits=6)
+        with pytest.raises(CapacityError):
+            LayerSpec(fan_in=1, units=1, dr_layers=1, qubits_per_edge=6)
+        p = init_dr_params(1, np.random.default_rng(0), num_qubits=5)
+        assert -1.0 <= dr_forward(0.5, p) <= 1.0
 
-    def test_requires_two_qubits(self):
-        with pytest.raises(ValueError):
-            dr_forward_multiqubit(0.5, random_params(0))
+    def test_capacity_error_in_model_file(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(init_model(spec_from_shape([1, 1], dr_layers=1, qubits_per_edge=5)), path)
+        text = path.read_text().replace("qubits_per_edge 5", "qubits_per_edge 6")
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match="6 qubits"):
+            load_model(path)
 
     def test_batch_dispatches_multiqubit(self):
         p = random_params(5, L=2, num_qubits=2, entangle=True)
         xs = np.linspace(0, np.pi, 5)
         batch = dr_forward_batch(xs, p)
-        scalar = [dr_forward_multiqubit(float(x), p) for x in xs]
+        scalar = [dr_forward(float(x), p) for x in xs]
         np.testing.assert_allclose(batch, scalar, atol=1e-12)
+
+
+_TEMPLATES = {"default": DEFAULT_TEMPLATE, "su2": SU2_TEMPLATE}
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), entangle=st.booleans(),
+       template=st.sampled_from(sorted(_TEMPLATES)), L=st.integers(1, 3),
+       x=st.floats(0.0, np.pi), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_oracles(n, entangle, template, L, x, seed):
+    tpl = _TEMPLATES[template]
+    p = init_dr_params(L, np.random.default_rng(seed), num_qubits=n,
+                       entangle=entangle, template=tpl)
+    kw = {"template": list(tpl.gates), "num_qubits": n, "entangle": entangle}
+    assert dr_forward(x, p) == pytest.approx(
+        oracles.naive_dr_forward(x, p.thetas, **kw), abs=1e-12)
+    dth, dx = dr_gradient(x, p)
+    np.testing.assert_allclose(
+        dth, oracles.shift_rule_dtheta(x, p.thetas, **kw), rtol=0, atol=1e-10)
+    assert dx == pytest.approx(oracles.shift_rule_dx(x, p.thetas, **kw), abs=1e-10)
 
 
 class TestClamping:

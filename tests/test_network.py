@@ -148,7 +148,14 @@ class TestForward:
                                                                          abs=1e-15)
 
     def test_scalar_vs_batch(self):
-        m = small_model((2, 2, 1), dr_layers=2, seed=4)
+        self.check_scalar_vs_batch(qubits=1, entangle=False)
+
+    def test_scalar_vs_batch_multiqubit(self):
+        self.check_scalar_vs_batch(qubits=2, entangle=True)
+
+    def check_scalar_vs_batch(self, qubits, entangle):
+        m = small_model((2, 2, 1), dr_layers=2, seed=4, qubits_per_edge=qubits,
+                        entangle=entangle)
         X = np.random.default_rng(0).uniform(0, 1, (7, 2))
         batch = network_forward(X, m)
         singles = [network_forward(X[i], m) for i in range(7)]
@@ -181,6 +188,14 @@ class TestForward:
         with pytest.raises(ValueError, match="feature"):
             network_forward(np.zeros((4, 3)), m)
 
+    def test_non_finite_features_rejected(self):
+        m = small_model((2, 1), dr_layers=1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                network_forward(np.array([bad, 0.5]), m)
+        with pytest.raises(ValueError, match="finite"):
+            network_backward(np.array([[0.1, 0.2], [np.nan, 0.5]]), np.zeros(2), m)
+
     def test_pruned_edge_excluded_and_divisor_updates(self):
         m = small_model((2, 1, 1), dr_layers=1, seed=5)
         X = np.random.default_rng(3).uniform(0, 1, (9, 2))
@@ -195,9 +210,15 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_gradients_match_finite_differences(self, dense):
-        m = small_model((2, 2, 1), dr_layers=2, seed=11, dense=dense)
+    @pytest.mark.parametrize("dense,qubits,entangle", [
+        pytest.param(False, 1, False, id="False"),
+        pytest.param(True, 1, False, id="True"),
+        pytest.param(False, 2, True, id="False-2q-ring"),
+        pytest.param(True, 2, True, id="True-2q-ring"),
+    ])
+    def test_gradients_match_finite_differences(self, dense, qubits, entangle):
+        m = small_model((2, 2, 1), dr_layers=2, seed=11, dense=dense,
+                        qubits_per_edge=qubits, entangle=entangle)
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (13, 2))
         y = rng.normal(size=13)
@@ -313,6 +334,21 @@ class TestSerialization:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ModelFormatError, match=str(edge_no + 1)):
             load_model(p)
+
+    @pytest.mark.parametrize("record,field", [("edge", -1), ("dense", 1), ("dense", 2),
+                                              ("norm", 2)])
+    def test_non_finite_value_in_file_rejected(self, tmp_path, record, field):
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 1), dr_layers=1, dense=True), p)
+        lines = p.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.split()[0] == record)
+        toks = lines[at].split()
+        for bad in ("nan", "inf", "-inf"):
+            toks[field] = bad
+            lines[at] = " ".join(toks)
+            p.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ModelFormatError, match="finite"):
+                load_model(p)
 
     def test_missing_end_sentinel(self, tmp_path):
         p = tmp_path / "m.txt"
