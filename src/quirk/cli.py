@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import multiprocessing
 import os
 import sys
 import time
@@ -195,19 +196,6 @@ def _outdir(cfg) -> str:
     return path
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("QUIRK_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"QUIRK_THREADS must be an integer, got {env!r}") \
-                from exc
-    return 1
-
-
 # --- shared pieces ----------------------------------------------------------
 
 
@@ -229,6 +217,18 @@ def _load_dataset(cfg):
                                  x_range=(d["range_lo"], d["range_hi"]),
                                  seed=d["seed"])
     return ds.split(seed=d["split_seed"])
+
+
+def _load_with_model(args):
+    """Config, saved model and dataset of a command that reads a model file."""
+    cfg = load_cli_config(args)
+    model = load_model(args.model)
+    ds = _load_dataset(cfg)
+    if ds.input_dim != model.spec.input_dim:
+        raise ConfigError(
+            f"model expects {model.spec.input_dim} feature(s) but dataset "
+            f"{cfg['dataset']['equation']!r} has {ds.input_dim}")
+    return cfg, model, ds
 
 
 def _build_spec(cfg, input_dim: int):
@@ -286,25 +286,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_cli_config(args)
-    model = load_model(args.model)
-    ds = _load_dataset(cfg)
-    if ds.input_dim != model.spec.input_dim:
-        raise ConfigError(
-            f"model expects {model.spec.input_dim} feature(s) but dataset "
-            f"{cfg['dataset']['equation']!r} has {ds.input_dim}")
+    cfg, model, ds = _load_with_model(args)
     print(_summary_line(cfg["dataset"]["equation"], model, ds))
     return 0
 
 
 def cmd_prune(args) -> int:
-    cfg = load_cli_config(args)
-    model = load_model(args.model)
-    ds = _load_dataset(cfg)
-    if ds.input_dim != model.spec.input_dim:
-        raise ConfigError(
-            f"model expects {model.spec.input_dim} feature(s) but dataset "
-            f"{cfg['dataset']['equation']!r} has {ds.input_dim}")
+    cfg, model, ds = _load_with_model(args)
     out = _outdir(cfg)
     before = param_count(model)
     pruned = prune(model, ds, tau=cfg["prune"]["threshold"],
@@ -318,13 +306,7 @@ def cmd_prune(args) -> int:
 
 
 def cmd_interpret(args) -> int:
-    cfg = load_cli_config(args)
-    model = load_model(args.model)
-    ds = _load_dataset(cfg)
-    if ds.input_dim != model.spec.input_dim:
-        raise ConfigError(
-            f"model expects {model.spec.input_dim} feature(s) but dataset "
-            f"{cfg['dataset']['equation']!r} has {ds.input_dim}")
+    cfg, model, ds = _load_with_model(args)
     out = _outdir(cfg)
     icfg = cfg["interpret"]
     rep = interpret.report(model, ds, grid_size=icfg["grid_size"],
@@ -374,8 +356,9 @@ def _benchmark_one(eq: str, cfg, out: str):
                    fine_tune_steps=cfg["prune"]["fine_tune_steps"])
     row = [eq, _test_rmse(model, ds), param_count(model),
            _test_rmse(pruned, ds), param_count(pruned)]
-    # atomic per-equation drop so a crash never leaves a half row
-    tmp = os.path.join(out, f".bench_{eq}.tmp")
+    # atomic per-equation drop so a crash never leaves a half row; the pid
+    # keeps workers given the same id twice off each other's temp file
+    tmp = os.path.join(out, f".bench_{eq}.{os.getpid()}.tmp")
     write_csv_rows(tmp, ["equation", "rmse", "params", "pruned_rmse",
                          "pruned_params"], [row])
     os.replace(tmp, os.path.join(out, f"bench_{eq}.csv"))
@@ -394,10 +377,13 @@ def cmd_benchmark(args) -> int:
     unknown = [eq for eq in args.equations if eq not in EQUATIONS]
     out = _outdir(cfg)
     rows = {}
-    workers = _threads(args)
     if known:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_benchmark_one, eq, cfg, out): eq for eq in known}
+        # each equation is an independent numpy run that holds the GIL, so it
+        # gets its own spawned process, at most one per CPU
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(len(known), os.cpu_count() or 1),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            futs = [pool.submit(_benchmark_one, eq, cfg, out) for eq in known]
             for fut in concurrent.futures.as_completed(futs):
                 row = fut.result()
                 rows[row[0]] = row
@@ -425,8 +411,8 @@ def cmd_compare_activations(args) -> int:
     ds = generate_univariate(args.target, d["n_samples"],
                              x_range=(d["range_lo"], d["range_hi"]),
                              seed=d["seed"]).split(seed=d["split_seed"])
+    ds = _unit_scale(ds)
     (Xtr, ytr), (Xte, yte) = ds.part("train"), ds.part("test")
-    scale = target_scale(ytr)
     out = _outdir(cfg)
     smoothness = (1.0, 0.05)
     header = ["budget", "dr_rmse"] + [f"spline_s{s:g}_rmse" for s in smoothness]
@@ -439,21 +425,20 @@ def cmd_compare_activations(args) -> int:
         if L < 1:
             raise ConfigError(f"budget {budget} leaves no DR layers")
         spec = spec_from_shape([1, 1], dr_layers=L, seed=cfg["model"]["seed"])
-        scaled = Dataset(ds.X, ds.y / scale, ds.columns, ds.splits, ds.seed)
-        model, _ = train(scaled, spec, _train_config(cfg))
-        dr_err = rmse(network_forward(Xte, model), yte / scale)
+        model, _ = train(ds, spec, _train_config(cfg))
+        dr_err = rmse(network_forward(Xte, model), yte)
         row = [budget, dr_err]
         fits = []
         for s in smoothness:
-            m = bspline.fit((Xtr[:, 0], ytr / scale), budget, s)
+            m = bspline.fit((Xtr[:, 0], ytr), budget, s)
             fits.append(m)
-            row.append(rmse(m.predict(Xte[:, 0]), yte / scale))
+            row.append(rmse(m.predict(Xte[:, 0]), yte))
         table.append(row)
         print(" ".join(f"{h}={v:.6e}" if isinstance(v, float) else f"{h}={v}"
                        for h, v in zip(header, row)))
         grid = np.linspace(ds.X[:, 0].min(), ds.X[:, 0].max(), 400)
         series = [
-            svgplot.Series(Xte[:, 0], yte / scale, "target (test)", points=True),
+            svgplot.Series(Xte[:, 0], yte, "target (test)", points=True),
             svgplot.Series(grid, network_forward(grid[:, None], model),
                            f"DR, {2 * L} params"),
         ]
@@ -495,8 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int,
                         help="override every seed in the config")
         sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--threads", type=int,
-                        help="worker threads (or QUIRK_THREADS)")
 
     sp = sub.add_parser("train", help="train a model on a registered dataset")
     common(sp)

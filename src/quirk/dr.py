@@ -140,30 +140,13 @@ def init_dr_params(
     return DRParams(thetas, num_qubits=num_qubits, entangle=entangle, template=template)
 
 
-# --- clamp bookkeeping ------------------------------------------------------
-
-_clamp_events = 0
-
-
-def clamp_event_count() -> int:
-    """Total number of calls that clamped at least one out-of-domain input."""
-    return _clamp_events
-
-
-def reset_clamp_event_count() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
-
 def _clamp_domain(xs: np.ndarray, clamp: bool) -> np.ndarray:
-    global _clamp_events
     if not np.all(np.isfinite(xs)):
         raise ValueError("inputs must be finite")
     if not clamp:
         return xs
     out_of_domain = (xs < 0.0) | (xs > np.pi)
     if np.any(out_of_domain):
-        _clamp_events += 1
         warnings.warn(
             f"{int(np.count_nonzero(out_of_domain))} input(s) outside [0, pi] were clamped",
             RuntimeWarning,

@@ -433,7 +433,8 @@ def _template_parse(s: str, lineno: int) -> GateTemplate:
             kind, source = part.split(":")
         except ValueError:
             raise ModelFormatError(f"line {lineno}: bad template entry {part!r}")
-        gates.append((kind, "input" if source == "input" else int(source)))
+        gates.append((kind, "input" if source == "input"
+                      else _parse_int(source, lineno, "template")))
     try:
         return GateTemplate(tuple(gates))
     except ValueError as e:
@@ -519,12 +520,12 @@ def load_model(path) -> Model:
         if key == "end":
             saw_end = True
             continue
-        if key == "template":
-            fields["template"] = _template_parse(toks[1], lineno)
-        elif key in ("input_dim", "dense_head", "bias_flag", "seed", "layers"):
+        if key in ("template", "input_dim", "dense_head", "bias_flag", "seed",
+                   "layers"):
             if len(toks) != 2:
                 raise ModelFormatError(f"line {lineno}: field {key} takes one value")
-            fields[key] = _parse_int(toks[1], lineno, key)
+            fields[key] = (_template_parse(toks[1], lineno) if key == "template"
+                           else _parse_int(toks[1], lineno, key))
         elif key == "layer":
             if len(toks) != 12:
                 raise ModelFormatError(f"line {lineno}: malformed layer row")

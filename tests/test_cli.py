@@ -174,6 +174,17 @@ class TestEvalPruneInterpret:
         bad.write_text("not a model\n")
         assert main(["eval", str(bad), "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("line", ["template", "template ry:input,rz:abc,rx:1"])
+    def test_bad_template_line_is_file_error(self, trained, tmp_path, capsys,
+                                             line):
+        cfg, model = trained
+        lines = open(model).read().splitlines()
+        assert lines[1].startswith("template ")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join([lines[0], line] + lines[2:]) + "\n")
+        assert main(["eval", str(bad), "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("file error: line 2: ")
+
     def test_prune_never_grows(self, trained, tmp_path, capsys):
         cfg, model = trained
         capsys.readouterr()
@@ -239,11 +250,32 @@ class TestBenchmark:
             main(["benchmark"])
         assert exc.value.code == 2
 
-    def test_bad_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("QUIRK_THREADS", "many")
-        cfg = tiny(tmp_path, out="bt")
-        assert main(["benchmark", "x2-y2", "--config", cfg]) == 2
-        assert "QUIRK_THREADS" in capsys.readouterr().err
+    def test_threads_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["benchmark", "I.6.2", "--threads", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("extra,rc,msg", [
+        (["shape = 3,1"], 2, "config error"),
+        (["dense_head = true", "[train]", "learning_rate = 1e160"], 3,
+         "numeric failure")])
+    def test_worker_error_keeps_exit_code(self, tmp_path, capsys, extra, rc, msg):
+        cfg = tiny(tmp_path, out="werr", model=extra)
+        assert main(["benchmark", "I.6.2", "--config", cfg]) == rc
+        assert capsys.readouterr().err.startswith(msg)
+
+    def test_two_equations_match_single_runs(self, tmp_path):
+        both = tiny(tmp_path, out="both")
+        assert main(["benchmark", "x2-y2", "I.6.2", "--config", both]) == 0
+        singles = []
+        for eq, out in (("x2-y2", "one"), ("I.6.2", "two")):
+            assert main(["benchmark", eq, "--config", tiny(tmp_path, out=out)]) == 0
+            singles.append((tmp_path / out / "benchmark.csv").read_text()
+                           .splitlines())
+            assert ((tmp_path / out / f"bench_{eq}.csv").read_bytes()
+                    == (tmp_path / "both" / f"bench_{eq}.csv").read_bytes())
+        rows = (tmp_path / "both" / "benchmark.csv").read_text().splitlines()
+        assert rows == singles[0] + singles[1][1:]
 
 
 class TestCompareActivations:

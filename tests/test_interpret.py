@@ -10,6 +10,8 @@ from quirk.network import (fit_input_norm, init_model, network_forward,
                            spec_from_shape)
 from quirk.train import TrainConfig, train
 
+from mutations import escapes
+
 
 def lstsq_poly_oracle(xs, ys, degree):
     """Plain monomial-Vandermonde least squares in t = 2x/pi - 1.
@@ -218,6 +220,21 @@ class TestReport:
         mangled.write_text("\n".join(out) + "\n")
         with pytest.raises(interpret.ReportFormatError):
             interpret.load_report(mangled)
+
+    def test_mutated_file_loads_or_raises_format_error(self, tmp_path):
+        m = init_model(spec_from_shape([2, 2, 1], dr_layers=3, dense_head=True,
+                                       seed=0))
+        m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
+        m.edge_active[0][1, 0] = False
+
+        class Plain:
+            X = np.random.default_rng(2).uniform(0, 1, (30, 2))
+            y = None
+            splits = None
+
+        p = tmp_path / "report.txt"
+        interpret.save_report(interpret.report(m, Plain()), p)
+        assert escapes(p, interpret.load_report, interpret.ReportFormatError) == []
 
     def test_coeffs_csv_shape(self, tmp_path):
         model, ds = self.trained_model()

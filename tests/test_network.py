@@ -9,6 +9,7 @@ from quirk.network import (LayerSpec, Model, ModelFormatError,
                            network_backward, network_forward, param_count,
                            rescale, save_model, spec_from_shape)
 
+from mutations import escapes
 from oracles import central_diff
 
 
@@ -356,3 +357,10 @@ class TestSerialization:
         p.write_text("\n".join(p.read_text().splitlines()[:-1]) + "\n")
         with pytest.raises(ModelFormatError, match="end"):
             load_model(p)
+
+    def test_mutated_file_loads_or_raises_format_error(self, tmp_path):
+        p = tmp_path / "m.txt"
+        m = small_model((2, 2, 1), dr_layers=3, dense=True)
+        m.edge_active[0][1, 0] = False
+        save_model(m, p)
+        assert escapes(p, load_model, ModelFormatError) == []
