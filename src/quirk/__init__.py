@@ -11,7 +11,6 @@ from .dr import (
     CapacityError,
     DRParams,
     GateTemplate,
-    dr_forward,
     dr_forward_batch,
     dr_gradient,
     init_dr_params,

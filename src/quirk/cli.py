@@ -28,7 +28,8 @@ from .data import (CSVFormatError, EQUATIONS, UNIVARIATE_ALIASES,
 from .dr import DEFAULT_TEMPLATE, SU2_TEMPLATE
 from .network import (ModelFormatError, ModelVersionError, load_model,
                       network_forward, param_count, save_model, spec_from_shape)
-from .train import TrainConfig, TrainingDivergedError, prune, rmse, train
+from .train import (DEFAULT_PRUNE_TAU, TrainConfig, TrainingDivergedError,
+                    prune, rmse, train)
 
 PUBLISHED_RESULTS = os.path.join(os.path.dirname(__file__),
                                  "published_results.csv")
@@ -41,12 +42,21 @@ class ConfigError(Exception):
 # --- config parsing ---------------------------------------------------------
 
 
-def _p_int(v):
-    return int(v)
-
-
 def _p_float(v):
-    return float(v)
+    x = float(v)
+    if not np.isfinite(x):
+        raise ValueError(f"not a finite number: {v.strip()!r}")
+    return x
+
+
+def _p_min(lo, kind=int):
+    """Parser of ``kind`` that rejects values below ``lo``."""
+    def parse(v):
+        x = kind(v)
+        if x < lo:
+            raise ValueError(f"must be >= {lo}, got {x}")
+        return x
+    return parse
 
 
 def _p_bool(v):
@@ -58,12 +68,11 @@ def _p_bool(v):
     raise ValueError(f"not a boolean: {v!r}")
 
 
-def _p_str(v):
-    return v.strip()
-
-
 def _p_int_list(v):
-    return [int(t) for t in v.replace(",", " ").split()]
+    items = [int(t) for t in v.replace(",", " ").split()]
+    if not items:
+        raise ValueError("needs at least one integer")
+    return items
 
 
 def _p_layers(v):
@@ -88,10 +97,10 @@ def _p_template(v):
 # {section: {key: (parser, default)}}
 SCHEMA = {
     "dataset": {
-        "equation": (_p_str, None),
-        "n_samples": (_p_int, 3000),
-        "seed": (_p_int, 0),
-        "split_seed": (_p_int, None),  # defaults to dataset seed
+        "equation": (str.strip, None),
+        "n_samples": (_p_min(1), 3000),
+        "seed": (_p_min(0), 0),
+        "split_seed": (_p_min(0), None),  # defaults to dataset seed
         "range_lo": (_p_float, DEFAULT_UNIVARIATE_RANGE[0]),
         "range_hi": (_p_float, DEFAULT_UNIVARIATE_RANGE[1]),
     },
@@ -100,11 +109,11 @@ SCHEMA = {
         "hidden": (_p_int_list, [2, 1]),  # benchmark: shape = [arity] + hidden
         "dr_layers": (_p_layers, 3),
         "dense_head": (_p_bool, False),
-        "bias_flag": (_p_int, 0),
-        "qubits_per_edge": (_p_int, 1),
+        "bias_flag": (int, 0),
+        "qubits_per_edge": (int, 1),
         "entangle": (_p_bool, False),
         "template": (_p_template, DEFAULT_TEMPLATE),
-        "seed": (_p_int, 0),
+        "seed": (_p_min(0), 0),
     },
     "train": {
         "learning_rate": (_p_float, 0.01),
@@ -112,17 +121,17 @@ SCHEMA = {
         "beta2": (_p_float, 0.999),
         "epsilon": (_p_float, 1e-8),
         "batch_size": (_p_batch, None),
-        "max_steps": (_p_int, 2000),
-        "seed": (_p_int, 0),
-        "early_stop_patience": (_p_int, 500),
+        "max_steps": (int, 2000),
+        "seed": (_p_min(0), 0),
+        "early_stop_patience": (int, 500),
     },
     "prune": {
-        "threshold": (_p_float, 0.05),
-        "fine_tune_steps": (_p_int, 500),
+        "threshold": (_p_min(0.0, _p_float), DEFAULT_PRUNE_TAU),
+        "fine_tune_steps": (_p_min(0), 500),
     },
     "interpret": {
-        "grid_size": (_p_int, interpret.DEFAULT_GRID_SIZE),
-        "max_degree": (_p_int, interpret.DEFAULT_MAX_DEGREE),
+        "grid_size": (_p_min(2), interpret.DEFAULT_GRID_SIZE),
+        "max_degree": (_p_min(0), interpret.DEFAULT_MAX_DEGREE),
         "r2_target": (_p_float, interpret.DEFAULT_R2_TARGET),
         "svg": (_p_bool, True),
     },
@@ -130,7 +139,7 @@ SCHEMA = {
         "include_published": (_p_bool, True),
     },
     "output": {
-        "dir": (_p_str, "quirk-out"),
+        "dir": (str.strip, "quirk-out"),
     },
 }
 
@@ -178,6 +187,8 @@ def parse_config(path) -> dict:
 def load_cli_config(args) -> dict:
     cfg = parse_config(args.config) if args.config else default_config()
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         # one flag pins every seed for a fully reproducible run
         cfg["dataset"]["seed"] = args.seed
         cfg["dataset"]["split_seed"] = args.seed
@@ -199,9 +210,11 @@ def _outdir(cfg) -> str:
 # --- shared pieces ----------------------------------------------------------
 
 
-def _load_dataset(cfg):
+def _load_dataset(cfg, eq=None) -> Dataset:
+    """Split dataset of ``eq`` (default: the config's equation), a
+    registered equation or a univariate target."""
     d = cfg["dataset"]
-    eq = d["equation"]
+    eq = eq or d["equation"]
     if not eq:
         raise ConfigError("missing [dataset] key 'equation'")
     if eq in EQUATIONS:
@@ -213,10 +226,17 @@ def _load_dataset(cfg):
             raise ConfigError(
                 f"[dataset] equation {eq!r} is neither a registered equation "
                 f"nor a univariate target: {exc}") from exc
+        if not d["range_lo"] < d["range_hi"]:
+            raise ConfigError(
+                f"[dataset] range_lo = {d['range_lo']} must be below "
+                f"range_hi = {d['range_hi']}")
         ds = generate_univariate(eq, d["n_samples"],
                                  x_range=(d["range_lo"], d["range_hi"]),
                                  seed=d["seed"])
-    return ds.split(seed=d["split_seed"])
+    try:
+        return ds.split(seed=d["split_seed"])
+    except ValueError as exc:
+        raise ConfigError(f"[dataset] n_samples = {d['n_samples']}: {exc}") from exc
 
 
 def _load_with_model(args):
@@ -251,11 +271,23 @@ def _build_spec(cfg, input_dim: int):
 
 def _train_config(cfg) -> TrainConfig:
     t = cfg["train"]
-    return TrainConfig(learning_rate=t["learning_rate"], beta1=t["beta1"],
-                       beta2=t["beta2"], epsilon=t["epsilon"],
-                       batch_size=t["batch_size"], max_steps=t["max_steps"],
-                       seed=t["seed"], early_stop_patience=t["early_stop_patience"],
-                       prune_threshold=cfg["prune"]["threshold"])
+    try:
+        return TrainConfig(learning_rate=t["learning_rate"], beta1=t["beta1"],
+                           beta2=t["beta2"], epsilon=t["epsilon"],
+                           batch_size=t["batch_size"], max_steps=t["max_steps"],
+                           seed=t["seed"],
+                           early_stop_patience=t["early_stop_patience"])
+    except ValueError as exc:
+        raise ConfigError(f"[train] {exc}") from exc
+
+
+def _interpret_settings(cfg) -> dict:
+    """Keyword arguments of interpret.report from the [interpret] section."""
+    i = cfg["interpret"]
+    if i["grid_size"] <= i["max_degree"]:
+        raise ConfigError(f"[interpret] grid_size = {i['grid_size']} must "
+                          f"exceed max_degree = {i['max_degree']}")
+    return {k: i[k] for k in ("grid_size", "max_degree", "r2_target")}
 
 
 def _test_rmse(model, ds) -> float:
@@ -307,19 +339,17 @@ def cmd_prune(args) -> int:
 
 def cmd_interpret(args) -> int:
     cfg, model, ds = _load_with_model(args)
+    settings = _interpret_settings(cfg)
     out = _outdir(cfg)
-    icfg = cfg["interpret"]
-    rep = interpret.report(model, ds, grid_size=icfg["grid_size"],
-                           max_degree=icfg["max_degree"],
-                           r2_target=icfg["r2_target"])
+    rep = interpret.report(model, ds, **settings)
     interpret.save_report(rep, os.path.join(out, "report.txt"))
     interpret.save_coeffs_csv(rep, os.path.join(out, "coefficients.csv"))
-    if icfg["svg"]:
+    if cfg["interpret"]["svg"]:
         for e in rep.edges:
             if not e.active:
                 continue
             layer, i, u = e.edge_id
-            s = interpret.sample_edge(model, e.edge_id, icfg["grid_size"])
+            s = interpret.sample_edge(model, e.edge_id, settings["grid_size"])
             t = 2.0 * s.xs / np.pi - 1.0
             svgplot.save(
                 os.path.join(out, f"edge_{layer}_{i}_{u}.svg"),
@@ -346,9 +376,7 @@ def _unit_scale(ds: Dataset) -> Dataset:
 
 
 def _benchmark_one(eq: str, cfg, out: str):
-    d = cfg["dataset"]
-    ds = generate(eq, d["n_samples"], seed=d["seed"]).split(seed=d["split_seed"])
-    ds = _unit_scale(ds)
+    ds = _unit_scale(_load_dataset(cfg, eq))
     spec = _build_spec(cfg, ds.input_dim)
     model, _ = train(ds, spec, _train_config(cfg))
     pruned = prune(model, ds, tau=cfg["prune"]["threshold"],
@@ -406,12 +434,8 @@ def cmd_benchmark(args) -> int:
 
 def cmd_compare_activations(args) -> int:
     cfg = load_cli_config(args)
-    d = cfg["dataset"]
     name, _ = resolve_univariate(args.target)  # LookupError -> exit 2 mapping
-    ds = generate_univariate(args.target, d["n_samples"],
-                             x_range=(d["range_lo"], d["range_hi"]),
-                             seed=d["seed"]).split(seed=d["split_seed"])
-    ds = _unit_scale(ds)
+    ds = _unit_scale(_load_dataset(cfg, args.target))
     (Xtr, ytr), (Xte, yte) = ds.part("train"), ds.part("test")
     out = _outdir(cfg)
     smoothness = (1.0, 0.05)

@@ -9,9 +9,10 @@ The readout is <Z> of the final state, a smooth function of x in [-1, 1].
 An n-qubit edge runs every gate of a layer on each qubit (with its own
 angles), optionally followed by a ring of CNOTs, and reads <Z> on qubit 0.
 Gradients with respect to every angle (and x itself) are computed in one
-adjoint reverse sweep over the cached per-gate states, so the cost is O(L)
-per sample; the parameter-shift rule exists in the test suite as an
-independent oracle, not here.
+adjoint reverse sweep that undoes each gate on the final state as it goes,
+so only two states are ever live and the cost is O(L) per sample; the
+parameter-shift rule exists in the test suite as an independent oracle,
+not here.
 
 Internally everything is vectorized: the kernel accepts an input array of
 any shape together with a stacked theta array ``(L, ..., P)`` (one qubit)
@@ -117,14 +118,6 @@ class DRParams:
         if not np.all(np.isfinite(self.thetas)):
             raise ValueError("all angles must be finite")
 
-    @property
-    def num_layers(self) -> int:
-        return self.thetas.shape[0]
-
-    @property
-    def param_count(self) -> int:
-        return self.thetas.size
-
 
 def init_dr_params(
     num_layers: int,
@@ -225,24 +218,21 @@ def _setup(xs: np.ndarray, thetas: np.ndarray, n: int):
     return batch, state
 
 
-def _sweep(state: list, ops, xs: np.ndarray, thetas: np.ndarray, trace=None) -> list:
-    """Run ``ops`` on ``state`` in place; with a ``trace`` list, also keep a
-    copy of the state after each op."""
+def _sweep(state: list, ops, xs: np.ndarray, thetas: np.ndarray) -> list:
+    """Run ``ops`` on ``state`` in place."""
     encode = {}  # every encoding gate of one kind shares its coefficients
     for kind, index, pairs in ops:
         if kind == "cnot":  # index holds perm
             state[:] = [state[i] for i in index]
+            continue
+        if index is not None:
+            coeffs = _gate_coeffs(kind, thetas[index])
+        elif kind in encode:
+            coeffs = encode[kind]
         else:
-            if index is not None:
-                coeffs = _gate_coeffs(kind, thetas[index])
-            elif kind in encode:
-                coeffs = encode[kind]
-            else:
-                coeffs = encode[kind] = _gate_coeffs(kind, xs)
-            for i, j in pairs:
-                state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
-        if trace is not None:
-            trace.append(list(state))
+            coeffs = encode[kind] = _gate_coeffs(kind, xs)
+        for i, j in pairs:
+            state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
     return state
 
 
@@ -270,22 +260,23 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
     the contributions of every encoding gate; dtheta entries sit at their
     (layer, [qubit,] param-index) slot.
     """
-    batch, state = _setup(xs, thetas, n)
+    batch, psi = _setup(xs, thetas, n)
     ops = _ops(n, entangle, template, thetas.shape[0])
-    trace = []  # state after each op
-    f = _z0(_sweep(state, ops, xs, thetas, trace))
+    f = _z0(_sweep(psi, ops, xs, thetas))
 
-    # reverse sweep: lam holds Z_0 psi_N, then G_k^dagger pulls it back; the
-    # derivative through gate k is Im <lam | P_k | psi_{k+1}>
-    half = len(state) // 2
-    lam = state[:half] + [-s for s in state[half:]]
+    # reverse sweep: lam starts as Z_0 psi_N; undoing gate k with G_k^dagger
+    # on both lam and psi takes psi_{k+1} back to psi_k, so no per-gate state
+    # is stored.  The derivative through gate k is Im <lam | P_k | psi_{k+1}>
+    half = len(psi) // 2
+    lam = psi[:half] + [-s for s in psi[half:]]
     dx = np.zeros(batch)
     encode = {}
     dtheta = np.zeros(thetas.shape[:1] + batch
                       + (thetas.shape[-1:] if n == 1 else thetas.shape[-2:]))
-    for (kind, index, pairs), psi in zip(reversed(ops), reversed(trace)):
+    for kind, index, pairs in reversed(ops):
         if kind == "cnot":  # pairs holds the inverse permutation
             lam = [lam[i] for i in pairs]
+            psi = [psi[i] for i in pairs]
             continue
         g = None
         for i, j in pairs:
@@ -303,38 +294,33 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
             coeffs = encode[kind]
         for i, j in pairs:
             lam[i], lam[j] = _gate_apply(kind, coeffs, lam[i], lam[j])
+            psi[i], psi[j] = _gate_apply(kind, coeffs, psi[i], psi[j])
     return f, dx, dtheta
 
 
 # --- public ops -------------------------------------------------------------
 
 
-def dr_forward(x: float, params: DRParams, clamp: bool = True) -> float:
-    """<Z> readout of the DR circuit at input ``x`` (radians in [0, pi]).
+def dr_forward_batch(xs, params: DRParams, clamp: bool = True) -> np.ndarray:
+    """<Z> readout of the DR circuit at inputs ``xs`` (radians in [0, pi],
+    any shape, 0-d included); the result has the shape of ``xs``.
 
     Out-of-domain inputs are clamped (with a warning) unless ``clamp`` is
     False, in which case the raw 4pi-periodic circuit value is returned.
     """
-    return float(dr_forward_batch(np.array([x], dtype=np.float64), params,
-                                  clamp=clamp)[0])
-
-
-def dr_forward_batch(xs, params: DRParams, clamp: bool = True) -> np.ndarray:
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.size == 0:
-        return np.zeros(xs.shape)
-    xs = _clamp_domain(xs, clamp)
+    xs = _clamp_domain(np.asarray(xs, dtype=np.float64), clamp)
     return _forward(xs, params.thetas, params.num_qubits, params.entangle,
                     params.template)
 
 
-def dr_gradient(x: float, params: DRParams, clamp: bool = True):
-    """Exact (dtheta, dx) of dr_forward at ``x``.
+def dr_gradient(xs, params: DRParams, clamp: bool = True):
+    """Exact (dtheta, dx) of dr_forward_batch at inputs ``xs`` (any shape).
 
-    dtheta matches params.thetas in shape; dx folds in all L encoding gates.
+    dx has the shape of ``xs`` and folds in all L encoding gates; dtheta is
+    (L,) + xs.shape + params.thetas.shape[1:], so a scalar x gives dtheta
+    shaped like params.thetas.
     """
-    xs = np.array([x], dtype=np.float64)
-    xs = _clamp_domain(xs, clamp)
-    _, dx, dtheta = _grad(xs, params.thetas[:, None], params.num_qubits,
+    xs = _clamp_domain(np.asarray(xs, dtype=np.float64), clamp)
+    _, dx, dtheta = _grad(xs, params.thetas, params.num_qubits,
                           params.entangle, params.template)
-    return dtheta[:, 0], float(dx[0])
+    return dtheta, dx

@@ -91,24 +91,22 @@ def fit_poly(sample: EdgeFunctionSample, max_degree: int = DEFAULT_MAX_DEGREE,
     returned as monomials in t."""
     xs = np.asarray(sample.xs, dtype=np.float64)
     ys = np.asarray(sample.ys, dtype=np.float64)
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     if xs.size < max_degree + 1:
         raise ValueError(f"{xs.size} points cannot fix degree {max_degree}")
     if np.ptp(xs) == 0.0:
         raise ValueError("degenerate grid: all xs identical")
-    t = _to_t(xs)
-    best = None
+    # the degree-d basis is the first d + 1 columns of the full one
+    V_all = _cheb.chebvander(_to_t(xs), max_degree)
     for degree in range(max_degree + 1):
-        V = _cheb.chebvander(t, degree)
-        A = V.T @ V
-        c_cheb = np.linalg.solve(A, V.T @ ys)
-        resid = float(np.sum((V @ c_cheb - ys) ** 2))
-        r2 = _r_squared(ys, resid)
-        fit = PolyFit(coefficients=_cheb.cheb2poly(c_cheb), degree=degree,
-                      r_squared=r2)
+        V = V_all[:, :degree + 1]
+        c_cheb = np.linalg.solve(V.T @ V, V.T @ ys)
+        r2 = _r_squared(ys, float(np.sum((V @ c_cheb - ys) ** 2)))
         if r2 >= r2_target:
-            return fit
-        best = fit
-    return best
+            break
+    return PolyFit(coefficients=_cheb.cheb2poly(c_cheb), degree=degree,
+                   r_squared=r2)
 
 
 @dataclass
@@ -172,18 +170,13 @@ class InterpretReport:
         return "\n".join(lines)
 
 
-def _poly_table(report: InterpretReport):
-    """{(layer, i, u): PolyFit} for active edges."""
-    return {e.edge_id: e.fit for e in report.edges if e.active}
-
-
 def surrogate_forward(report: InterpretReport, raw_input) -> np.ndarray:
     """Run the polynomial surrogate on raw features: every edge circuit is
     replaced by its fitted polynomial, everything else is unchanged."""
     X = np.atleast_2d(np.asarray(raw_input, dtype=np.float64))
     if X.shape[1] != len(report.input_norm):
         raise ValueError(f"expected {len(report.input_norm)} features")
-    polys = _poly_table(report)
+    polys = {e.edge_id: e.fit for e in report.edges if e.active}
     h = apply_input_norm(np.asarray(report.input_norm), X)
     n_layers = len(report.divisors)
     v = None
@@ -289,11 +282,18 @@ def save_report(rep: InterpretReport, path) -> None:
 
 
 def load_report(path) -> InterpretReport:
+    """Read a report file; raises ReportFormatError naming the line on
+    anything malformed or not fitting the report's own ``shape``."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = [ln.rstrip("\n") for ln in fh]
 
     def fail(no, msg):
         raise ReportFormatError(f"{path}:{no + 1}: {msg}")
+
+    def put(rows, key, value, no):
+        if key in rows:
+            fail(no, f"duplicate record {key}, first on line {rows[key][1] + 1}")
+        rows[key] = (value, no)
 
     if not raw or not raw[0].startswith("quirk-interpret "):
         fail(0, "missing quirk-interpret header")
@@ -301,9 +301,11 @@ def load_report(path) -> InterpretReport:
         fail(0, f"unsupported report version {raw[0].split()[1]!r}; "
                 f"supported: {REPORT_FORMAT_VERSION}")
     shape = None
+    shape_no = 0
+    # records keyed by their index, each with the line it came from
     norm_rows = {}
     divisors = {}
-    edges = []
+    edges = {}
     dense = None
     bias_flag = 0
     surrogate_rmse = None
@@ -317,31 +319,33 @@ def load_report(path) -> InterpretReport:
         tok = line.split()
         try:
             if tok[0] == "shape":
-                shape = tuple(int(t) for t in tok[1:])
+                shape, shape_no = tuple(int(t) for t in tok[1:]), no
             elif tok[0] == "settings":
                 settings = {"grid": int(tok[2]), "max_degree": int(tok[4]),
                             "r2_target": float(tok[6])}
             elif tok[0] == "bias_flag":
                 bias_flag = int(tok[1])
+                if bias_flag not in (0, 1):
+                    fail(no, f"bias_flag must be 0 or 1, got {bias_flag}")
             elif tok[0] == "input":
-                norm_rows[int(tok[1])] = (float(tok[3]), float(tok[5]))
+                put(norm_rows, int(tok[1]), (float(tok[3]), float(tok[5])), no)
             elif tok[0] == "divisors":
-                divisors[int(tok[1])] = [float(t) for t in tok[2:]]
+                put(divisors, int(tok[1]), [float(t) for t in tok[2:]], no)
             elif tok[0] == "edge":
                 eid = (int(tok[1]), int(tok[2]), int(tok[3]))
                 if tok[4] == "pruned":
-                    edges.append(EdgeReport(eid, active=False, fit=None))
+                    e = EdgeReport(eid, active=False, fit=None)
                 elif tok[4] == "active":
                     degree = int(tok[6])
                     r2 = float(tok[8])
                     coeffs = np.array([float(t) for t in tok[10:]])
-                    if coeffs.size != degree + 1:
+                    if degree < 0 or coeffs.size != degree + 1:
                         fail(no, f"degree {degree} needs {degree + 1} "
                                  f"coefficients, found {coeffs.size}")
-                    edges.append(EdgeReport(eid, active=True,
-                                            fit=PolyFit(coeffs, degree, r2)))
+                    e = EdgeReport(eid, active=True, fit=PolyFit(coeffs, degree, r2))
                 else:
                     fail(no, f"edge state must be active|pruned, got {tok[4]!r}")
+                put(edges, eid, e, no)
             elif tok[0] == "dense":
                 dense = None if tok[1] == "none" else (float(tok[2]), float(tok[4]))
             elif tok[0] == "surrogate_rmse":
@@ -359,12 +363,32 @@ def load_report(path) -> InterpretReport:
             fail(no, f"malformed {tok[0]!r} record: {exc}")
     if not saw_end:
         fail(len(raw) - 1, "missing end sentinel")
-    if shape is None or surrogate_rmse is None or not norm_rows:
-        fail(len(raw) - 1, "incomplete report (shape/input/surrogate_rmse)")
-    input_norm = np.array([norm_rows[f] for f in sorted(norm_rows)])
-    div_list = [divisors[k] for k in sorted(divisors)]
+    if shape is None or surrogate_rmse is None:
+        fail(len(raw) - 1, "incomplete report (shape/surrogate_rmse)")
+    if len(shape) < 2 or min(shape) < 1 or shape[-1] != 1:
+        fail(shape_no, f"shape {list(shape)} is not a network ending in one unit")
+    # every record the shape calls for, exactly once, and nothing else
+    want = {"input": (norm_rows, range(shape[0])),
+            "divisors": (divisors, range(len(shape) - 1)),
+            "edge": (edges, [(k, i, u) for k in range(len(shape) - 1)
+                             for i in range(shape[k]) for u in range(shape[k + 1])])}
+    for name, (rows, keys) in want.items():
+        for key, (_, no) in rows.items():
+            if key not in keys:
+                fail(no, f"{name} record {key} does not fit shape {list(shape)}")
+        for key in keys:
+            if key not in rows:
+                fail(shape_no, f"shape {list(shape)} needs {name} record {key}")
+    for k, (div, no) in divisors.items():
+        if len(div) != shape[k + 1]:
+            fail(no, f"layer {k} has {shape[k + 1]} unit(s) but {len(div)} divisor(s)")
+        if not all(d >= 1.0 for d in div):
+            fail(no, f"divisors must be >= 1, got {div}")
+    input_norm = np.array([norm_rows[f][0] for f in want["input"][1]])
+    div_list = [divisors[k][0] for k in want["divisors"][1]]
+    edge_list = [edges[eid][0] for eid in want["edge"][1]]
     return InterpretReport(
-        shape=shape, input_norm=input_norm, edges=edges, divisors=div_list,
+        shape=shape, input_norm=input_norm, edges=edge_list, divisors=div_list,
         bias_flag=bias_flag, dense=dense, surrogate_rmse=surrogate_rmse,
         model_rmse=model_rmse, grid_size=settings["grid"],
         max_degree=settings["max_degree"], r2_target=settings["r2_target"])

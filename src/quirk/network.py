@@ -221,12 +221,6 @@ def apply_input_norm(norm: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.clip(out, 0.0, np.pi)
 
 
-def input_normalizer(X_train: np.ndarray):
-    """Convenience: fit on training features, return (norm, transform)."""
-    norm = fit_input_norm(X_train)
-    return norm, lambda X: apply_input_norm(norm, np.asarray(X, dtype=np.float64))
-
-
 # --- forward ----------------------------------------------------------------
 
 
@@ -267,7 +261,9 @@ def _layer_eval(h: np.ndarray, layer: LayerSpec, thetas: np.ndarray,
     Every edge of the layer runs in one broadcast kernel call over
     (B, fan_in, units).  Returns (unit_sums (B, units), edge_vals
     (B, fan_in, units), edge_dx, edge_dtheta); the gradient pieces are None
-    unless requested.  Inactive edges contribute nothing and report zero dx.
+    unless requested.  Inactive edges contribute nothing; their gradient
+    pieces are left unmasked, since network_backward contracts them with a
+    masked cotangent.
     """
     x = h[:, :, None]  # broadcast over units
     wiring = (layer.qubits_per_edge, layer.entangle, template)
@@ -279,10 +275,7 @@ def _layer_eval(h: np.ndarray, layer: LayerSpec, thetas: np.ndarray,
         for r in range(0, h.shape[0], rows):
             f[r:r + rows] = _forward(x[r:r + rows], thetas, *wiring)
         dx = dth = None
-    mask = active.astype(np.float64)
-    f = f * mask
-    if want_grads:
-        dx = dx * mask
+    f = f * active
     sums = f.sum(axis=1)
     return sums, f, dx, dth
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, train_val_test_split, write_csv_rows
+from .data import Dataset, write_csv_rows
 from .network import (
     Model,
     NetworkSpec,
@@ -31,6 +31,10 @@ from .network import (
     network_forward,
     param_count,
 )
+
+
+# prune() drops edges scoring below this share of the best edge's score
+DEFAULT_PRUNE_TAU = 0.05
 
 
 class TrainingDivergedError(RuntimeError):
@@ -47,11 +51,10 @@ class TrainConfig:
     max_steps: int = 2000
     seed: int = 0
     early_stop_patience: int = 500
-    prune_threshold: float = 0.05
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -60,10 +63,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not self.epsilon > 0:
+            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
-        if not 0 <= self.prune_threshold:
-            raise ValueError("prune_threshold must be >= 0")
 
 
 @dataclass
@@ -76,7 +79,6 @@ class TrainHistory:
     elapsed_ms: list = field(default_factory=list)
     best_step: int = -1
     best_val_rmse: float = float("inf")
-    model: Model | None = None
 
     def record(self, step, tr, vr, ms):
         self.steps.append(int(step))
@@ -129,14 +131,6 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig,
         v += (1 - b2) * g * g
         p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
     return params, state
-
-
-def _as_xy(dataset):
-    if isinstance(dataset, Dataset):
-        return dataset.X, dataset.y, dataset.splits
-    X, y = dataset
-    return (np.atleast_2d(np.asarray(X, dtype=np.float64)),
-            np.asarray(y, dtype=np.float64).reshape(-1), None)
 
 
 def _model_params(model: Model):
@@ -215,31 +209,34 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
     return best
 
 
-def train(dataset, spec: NetworkSpec, config: TrainConfig | None = None):
+def _split(dataset: Dataset, config: TrainConfig):
+    """(X_tr, y_tr, X_val, y_val): the dataset's own splits when present,
+    otherwise a 70/15/15 split seeded with config.seed."""
+    if dataset.splits is None:
+        dataset = dataset.split(config.seed)
+    return dataset.part("train") + dataset.part("val")
+
+
+def train(dataset: Dataset, spec: NetworkSpec, config: TrainConfig | None = None):
     """Train a fresh model from ``spec`` on ``dataset``.
 
-    ``dataset`` is a data.Dataset (its splits are used when present) or an
-    (X, y) pair (split 70/15/15 with config.seed).  Returns
-    (best_model, TrainHistory); the history also references the best model.
+    The dataset's splits are used when present; otherwise it is split
+    70/15/15 with config.seed.  Returns (best_model, TrainHistory).
     """
     config = config or TrainConfig()
-    X, y, splits = _as_xy(dataset)
+    X = dataset.X
     if X.shape[0] < 3:
         raise ValueError("dataset too small to split")
     if X.shape[1] != spec.input_dim:
         raise ValueError(
             f"spec.input_dim={spec.input_dim} but dataset has {X.shape[1]} features")
-    if splits is None:
-        splits = train_val_test_split(X.shape[0], config.seed)
-    X_tr, y_tr = X[splits["train"]], y[splits["train"]]
-    X_val, y_val = X[splits["val"]], y[splits["val"]]
+    X_tr, y_tr, X_val, y_val = _split(dataset, config)
 
     model = init_model(spec)
     model.input_norm = fit_input_norm(X_tr)
     history = TrainHistory()
     best = _fit(model, X_tr, y_tr, X_val, y_val, config,
                 config.max_steps, config.early_stop_patience, history)
-    history.model = best
     return best, history
 
 
@@ -251,7 +248,7 @@ def edge_scores(model: Model, X_train) -> list:
             for active, cache in zip(model.edge_active, caches)]
 
 
-def prune(model: Model, dataset, tau: float | None = None,
+def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,
           config: TrainConfig | None = None, fine_tune_steps: int = 500) -> Model:
     """Drop low-variance edges, cascade dead units, fine-tune the rest.
 
@@ -261,14 +258,10 @@ def prune(model: Model, dataset, tau: float | None = None,
     unchanged (with a warning).  Fine-tuning runs ``fine_tune_steps`` Adam
     steps on the training split.
     """
+    if not tau >= 0:
+        raise ValueError(f"tau must be >= 0, got {tau}")
     config = config or TrainConfig()
-    if tau is None:
-        tau = config.prune_threshold
-    X, y, splits = _as_xy(dataset)
-    if splits is None:
-        splits = train_val_test_split(X.shape[0], config.seed)
-    X_tr, y_tr = X[splits["train"]], y[splits["train"]]
-    X_val, y_val = X[splits["val"]], y[splits["val"]]
+    X_tr, y_tr, X_val, y_val = _split(dataset, config)
 
     scores = edge_scores(model, X_tr)
     max_score = np.nanmax([np.nanmax(s) if np.any(np.isfinite(s)) else 0.0

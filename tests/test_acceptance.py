@@ -17,7 +17,7 @@ import oracles
 from quirk.bspline import fit as fit_bspline
 from quirk.data import Dataset, generate, generate_univariate, target_scale
 from quirk.dr import (DEFAULT_TEMPLATE, SU2_TEMPLATE, DRParams, GateTemplate,
-                      dr_forward, dr_forward_batch, dr_gradient, init_dr_params)
+                      dr_forward_batch, dr_gradient, init_dr_params)
 from quirk.interpret import report as interpret_report
 from quirk.network import (Model, _forward_pass, fit_input_norm, init_model,
                            load_model, network_backward, network_forward,
@@ -75,8 +75,8 @@ def test_criterion_1_circuit_identities():
         x = rng.uniform(0, np.pi)
         zeroed = thetas.copy()
         zeroed[0, 2] = 0.0
-        worst_rz = max(worst_rz, abs(dr_forward(x, DRParams(thetas, template=rz_last))
-                                     - dr_forward(x, DRParams(zeroed, template=rz_last))))
+        worst_rz = max(worst_rz, abs(dr_forward_batch(x, DRParams(thetas, template=rz_last))
+                                     - dr_forward_batch(x, DRParams(zeroed, template=rz_last))))
     ok = worst_ry <= 1e-12 and worst_rz <= 1e-12
     _line(1, "circuit identities", t0, 1.0, ok,
           f"max |<Z>-cos(x)|={worst_ry:.2e}, max rz-phase drift={worst_rz:.2e}"
@@ -256,8 +256,8 @@ def test_criterion_8_multiqubit_consistency():
         p = init_dr_params(int(rng.integers(1, 4)), rng, num_qubits=2,
                            entangle=False)
         x = float(rng.uniform(0, np.pi))
-        got = dr_forward(x, p)
-        want = dr_forward(x, DRParams(p.thetas[:, 0, :]))
+        got = dr_forward_batch(x, p)
+        want = dr_forward_batch(x, DRParams(p.thetas[:, 0, :]))
         worst_single = max(worst_single, abs(got - want))
     worst_oracle = 0.0
     for _ in range(100):
@@ -265,7 +265,7 @@ def test_criterion_8_multiqubit_consistency():
         p = init_dr_params(int(rng.integers(1, 3)), rng, num_qubits=n,
                            entangle=True)
         x = float(rng.uniform(0, np.pi))
-        got = dr_forward(x, p)
+        got = dr_forward_batch(x, p)
         want = oracles.naive_dr_forward(x, p.thetas, num_qubits=n, entangle=True)
         worst_oracle = max(worst_oracle, abs(got - want))
     ok = worst_single <= 1e-12 and worst_oracle <= 1e-12

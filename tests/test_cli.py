@@ -1,11 +1,16 @@
+import argparse
 import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from quirk.cli import ConfigError, main, parse_config
+from quirk.cli import (SCHEMA, ConfigError, _build_spec, _interpret_settings,
+                       _load_dataset, _train_config, load_cli_config, main,
+                       parse_config)
 from quirk.data import read_csv_rows
+
+from mutations import escapes
 
 
 def cfg_file(tmp_path, text, name="run.cfg"):
@@ -80,6 +85,122 @@ batch_size = full
     def test_defaults_without_config(self, tmp_path):
         # every section has a complete default; only the equation is required
         assert main(["train", "--out", str(tmp_path / "o")]) == 2
+
+
+# every section and key of the schema, with small values
+FULL = """
+[dataset]
+equation = sin
+n_samples = 40
+seed = 1
+split_seed = 2
+range_lo = 0
+range_hi = 3
+
+[model]
+shape = 1, 2, 1
+hidden = 2, 1
+dr_layers = 2, 1
+dense_head = true
+bias_flag = 1
+qubits_per_edge = 2
+entangle = true
+template = su2
+seed = 3
+
+[train]
+learning_rate = 0.05
+beta1 = 0.9
+beta2 = 0.999
+epsilon = 1e-8
+batch_size = 16
+max_steps = 10
+seed = 4
+early_stop_patience = 10
+
+[prune]
+threshold = 0.05
+fine_tune_steps = 5
+
+[interpret]
+grid_size = 65
+max_degree = 6
+r2_target = 0.99
+svg = false
+
+[benchmark]
+include_published = false
+
+[output]
+dir = out
+"""
+
+
+class TestConfigBoundary:
+    @pytest.mark.parametrize("section,line,key", [
+        ("train", "max_steps = 0", "max_steps"),
+        ("train", "learning_rate = -1", "learning_rate"),
+        ("train", "batch_size = 0", "batch_size"),
+        ("dataset", "n_samples = 0", "n_samples"),
+        ("dataset", "n_samples = 2", "n_samples"),
+        ("model", "shape =", "shape"),
+    ])
+    def test_train_names_bad_key(self, tmp_path, capsys, section, line, key):
+        cfg = tiny(tmp_path, **{section: [line]})
+        assert main(["train", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert "list index" not in err
+
+    @pytest.mark.parametrize("command,section,line,key", [
+        ("prune", "prune", "threshold = -1", "threshold"),
+        ("interpret", "interpret", "grid_size = 1", "grid_size"),
+        ("interpret", "interpret", "max_degree = 300", "max_degree"),
+        ("interpret", "interpret", "max_degree = -1", "max_degree"),
+    ])
+    def test_model_command_names_bad_key(self, trained, tmp_path, capsys,
+                                         command, section, line, key):
+        _, model = trained
+        cfg = tiny(tmp_path, out="bad", **{section: [line]})
+        capsys.readouterr()
+        assert main([command, model, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("command", [["train"], ["compare-activations", "sin"]])
+    def test_empty_univariate_range(self, tmp_path, capsys, command):
+        cfg = cfg_file(tmp_path, "[dataset]\nequation = sin\nn_samples = 50\n"
+                                 "range_lo = 5\nrange_hi = 1\n")
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "range_lo" in err
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        assert main(["train", "--config", tiny(tmp_path), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_mutated_config_loads_or_raises_config_error(self, tmp_path):
+        keys, section = set(), None
+        for line in FULL.splitlines():
+            if line.startswith("["):
+                section = line[1:-1]
+            elif "=" in line:
+                keys.add((section, line.split("=")[0].strip()))
+        assert keys == {(s, k) for s, known in SCHEMA.items() for k in known}
+        p = tmp_path / "full.cfg"
+        p.write_text(FULL)
+
+        def build(path):
+            # everything a run derives from its config, short of training
+            cfg = load_cli_config(argparse.Namespace(config=str(path),
+                                                     seed=None, out=None))
+            ds = _load_dataset(cfg)
+            _build_spec(cfg, ds.input_dim)
+            _train_config(cfg)
+            _interpret_settings(cfg)
+
+        build(p)
+        assert escapes(p, build, ConfigError) == []
 
 
 class TestTrain:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from quirk.dr import (
     CapacityError,
     DRParams,
     GateTemplate,
-    dr_forward,
     dr_forward_batch,
     dr_gradient,
     init_dr_params,
@@ -34,17 +34,17 @@ class TestForward:
         # RZ(0) and RX(0) drop out, leaving <Z| RY(x) |0> = cos(x)
         p = DRParams(np.zeros((1, 2)))
         for x in np.linspace(0, np.pi, 21):
-            assert dr_forward(x, p) == pytest.approx(np.cos(x), abs=1e-14)
+            assert dr_forward_batch(x, p) == pytest.approx(np.cos(x), abs=1e-14)
 
     def test_x_zero_rz_only_layer(self):
         # at x = 0 the encode is identity; RZ(a) on |0> is a pure phase
         for a in (-2.0, 0.3, 1.7):
             p = DRParams(np.array([[a, 0.0]]))
-            assert dr_forward(0.0, p) == pytest.approx(1.0, abs=1e-14)
+            assert dr_forward_batch(0.0, p) == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_naive_oracle_seed42(self):
         p = random_params(42, L=3)
-        got = dr_forward(1.0, p)
+        got = dr_forward_batch(1.0, p)
         want = oracles.naive_dr_forward(1.0, p.thetas)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -54,7 +54,7 @@ class TestForward:
         for _ in range(10):
             p = init_dr_params(L, rng)
             x = rng.uniform(0, np.pi)
-            assert dr_forward(x, p) == pytest.approx(
+            assert dr_forward_batch(x, p) == pytest.approx(
                 oracles.naive_dr_forward(x, p.thetas), abs=1e-12)
 
     def test_su2_template_against_oracle(self):
@@ -62,14 +62,14 @@ class TestForward:
         rng = np.random.default_rng(9)
         p = init_dr_params(2, rng, template=SU2_TEMPLATE)
         x = 0.8
-        assert dr_forward(x, p) == pytest.approx(
+        assert dr_forward_batch(x, p) == pytest.approx(
             oracles.naive_dr_forward(x, p.thetas, template=tpl), abs=1e-12)
 
     def test_range_invariant(self):
         rng = np.random.default_rng(17)
         for _ in range(200):
             p = init_dr_params(int(rng.integers(1, 7)), rng)
-            v = dr_forward(rng.uniform(0, np.pi), p)
+            v = dr_forward_batch(rng.uniform(0, np.pi), p)
             assert -1.0 <= v <= 1.0
 
     def test_periodicity_4pi(self):
@@ -77,15 +77,15 @@ class TestForward:
         for _ in range(30):
             p = init_dr_params(int(rng.integers(1, 5)), rng)
             x = rng.uniform(0, np.pi)
-            a = dr_forward(x, p, clamp=False)
-            b = dr_forward(x + 4 * np.pi, p, clamp=False)
+            a = dr_forward_batch(x, p, clamp=False)
+            b = dr_forward_batch(x + 4 * np.pi, p, clamp=False)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_determinism(self):
         a = random_params(7, L=4)
         b = random_params(7, L=4)
         assert np.array_equal(a.thetas, b.thetas)
-        assert dr_forward(0.5, a) == dr_forward(0.5, b)
+        assert dr_forward_batch(0.5, a) == dr_forward_batch(0.5, b)
 
 
 class TestForwardBatch:
@@ -102,7 +102,7 @@ class TestForwardBatch:
         p = random_params(33, L=5)
         xs = np.random.default_rng(2).uniform(0, np.pi, 1000)
         batch = dr_forward_batch(xs, p)
-        scalar = np.array([dr_forward(float(x), p) for x in xs])
+        scalar = np.array([dr_forward_batch(float(x), p) for x in xs])
         np.testing.assert_allclose(batch, scalar, atol=1e-12)
 
     def test_preserves_shape(self):
@@ -136,7 +136,7 @@ class TestGradient:
             np.testing.assert_allclose(dth, oracles.shift_rule_dtheta(x, p.thetas), atol=1e-10)
             assert dx == pytest.approx(oracles.shift_rule_dx(x, p.thetas), abs=1e-10)
             np.testing.assert_allclose(dth, oracles.fd_dtheta(x, p.thetas), atol=1e-6)
-            fd_dx = oracles.central_diff(lambda t: dr_forward(t, p, clamp=False), x)
+            fd_dx = oracles.central_diff(lambda t: dr_forward_batch(t, p, clamp=False), x)
             assert dx == pytest.approx(fd_dx, abs=1e-6)
 
     def test_su2_template_gradients(self):
@@ -152,6 +152,36 @@ class TestGradient:
         with pytest.raises(ValueError):
             dr_gradient(float("nan"), random_params(1))
 
+    @pytest.mark.parametrize("n,entangle", [(1, False), (2, True)])
+    def test_array_input_matches_scalar_calls(self, n, entangle):
+        p = random_params(12, L=2, num_qubits=n, entangle=entangle)
+        xs = np.linspace(0.1, 3.0, 6).reshape(2, 3)
+        dth, dx = dr_gradient(xs, p)
+        assert dx.shape == xs.shape
+        assert dth.shape == p.thetas.shape[:1] + xs.shape + p.thetas.shape[1:]
+        for idx in np.ndindex(xs.shape):
+            one_dth, one_dx = dr_gradient(xs[idx], p)
+            assert one_dth.shape == p.thetas.shape
+            np.testing.assert_allclose(dth[(slice(None),) + idx], one_dth,
+                                       rtol=0, atol=1e-14)
+            assert one_dx == pytest.approx(dx[idx], abs=1e-14)
+
+    def test_memory_does_not_grow_with_stored_states(self):
+        # the reverse sweep undoes each gate instead of keeping the state
+        # after it, so deeper circuits add only their dtheta rows
+        xs = np.linspace(0.0, np.pi, 20000)
+        peak = {}
+        for L in (2, 12):
+            p = random_params(0, L=L)
+            tracemalloc.start()
+            try:
+                dr_gradient(xs, p)
+                peak[L] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        dtheta_growth = 10 * xs.size * p.thetas.shape[-1] * 8
+        assert peak[12] - peak[2] < 2 * dtheta_growth
+
 
 class TestMultiQubit:
     def test_unentangled_equals_single_qubit(self):
@@ -161,14 +191,14 @@ class TestMultiQubit:
             p = init_dr_params(L, rng, num_qubits=2, entangle=False)
             single = DRParams(p.thetas[:, 0, :])
             x = rng.uniform(0, np.pi)
-            assert dr_forward(x, p) == pytest.approx(
-                dr_forward(x, single), abs=1e-12)
+            assert dr_forward_batch(x, p) == pytest.approx(
+                dr_forward_batch(x, single), abs=1e-12)
 
     def test_entangled_all_zero_thetas_vs_oracle(self):
         p = DRParams(np.zeros((1, 2, 2)), num_qubits=2, entangle=True)
         for x in np.linspace(0, np.pi, 9):
             want = oracles.naive_dr_forward(x, p.thetas, num_qubits=2, entangle=True)
-            assert dr_forward(x, p) == pytest.approx(want, abs=1e-12)
+            assert dr_forward_batch(x, p) == pytest.approx(want, abs=1e-12)
 
     def test_entangled_random_vs_oracle(self):
         rng = np.random.default_rng(77)
@@ -176,7 +206,7 @@ class TestMultiQubit:
             p = init_dr_params(2, rng, num_qubits=n, entangle=True)
             x = rng.uniform(0, np.pi)
             want = oracles.naive_dr_forward(x, p.thetas, num_qubits=n, entangle=True)
-            assert dr_forward(x, p) == pytest.approx(want, abs=1e-12)
+            assert dr_forward_batch(x, p) == pytest.approx(want, abs=1e-12)
 
     def test_entangled_gradients_vs_shift_rule(self):
         rng = np.random.default_rng(88)
@@ -196,7 +226,7 @@ class TestMultiQubit:
         with pytest.raises(CapacityError):
             LayerSpec(fan_in=1, units=1, dr_layers=1, qubits_per_edge=6)
         p = init_dr_params(1, np.random.default_rng(0), num_qubits=5)
-        assert -1.0 <= dr_forward(0.5, p) <= 1.0
+        assert -1.0 <= dr_forward_batch(0.5, p) <= 1.0
 
     def test_capacity_error_in_model_file(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -210,7 +240,7 @@ class TestMultiQubit:
         p = random_params(5, L=2, num_qubits=2, entangle=True)
         xs = np.linspace(0, np.pi, 5)
         batch = dr_forward_batch(xs, p)
-        scalar = [dr_forward(float(x), p) for x in xs]
+        scalar = [dr_forward_batch(float(x), p) for x in xs]
         np.testing.assert_allclose(batch, scalar, atol=1e-12)
 
 
@@ -226,7 +256,7 @@ def test_kernel_matches_oracles(n, entangle, template, L, x, seed):
     p = init_dr_params(L, np.random.default_rng(seed), num_qubits=n,
                        entangle=entangle, template=tpl)
     kw = {"template": list(tpl.gates), "num_qubits": n, "entangle": entangle}
-    assert dr_forward(x, p) == pytest.approx(
+    assert dr_forward_batch(x, p) == pytest.approx(
         oracles.naive_dr_forward(x, p.thetas, **kw), abs=1e-12)
     dth, dx = dr_gradient(x, p)
     np.testing.assert_allclose(
@@ -238,22 +268,22 @@ class TestClamping:
     def test_out_of_domain_warns_and_clamps(self):
         p = random_params(3)
         with pytest.warns(RuntimeWarning) as record:
-            v = dr_forward(4.0, p)
+            v = dr_forward_batch(4.0, p)
         assert [w.category for w in record] == [RuntimeWarning]
-        assert v == pytest.approx(dr_forward(np.pi, p), abs=1e-15)
+        assert v == pytest.approx(dr_forward_batch(np.pi, p), abs=1e-15)
 
     def test_negative_input_clamps_to_zero(self):
         p = random_params(3)
         with pytest.warns(RuntimeWarning):
-            v = dr_forward(-1.0, p)
-        assert v == pytest.approx(dr_forward(0.0, p), abs=1e-15)
+            v = dr_forward_batch(-1.0, p)
+        assert v == pytest.approx(dr_forward_batch(0.0, p), abs=1e-15)
 
     def test_clamp_off_uses_raw_circuit(self):
         p = random_params(3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            raw = dr_forward(4.0, p, clamp=False)
-        assert raw != pytest.approx(dr_forward(np.pi, p), abs=1e-9)
+            raw = dr_forward_batch(4.0, p, clamp=False)
+        assert raw != pytest.approx(dr_forward_batch(np.pi, p), abs=1e-9)
 
     def test_in_domain_never_warns(self):
         p = random_params(3)
@@ -269,7 +299,7 @@ class TestValidation:
 
     def test_infinite_x_rejected(self):
         with pytest.raises(ValueError):
-            dr_forward(np.inf, random_params(1))
+            dr_forward_batch(np.inf, random_params(1))
 
     def test_wrong_theta_rank(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,20 @@ def lstsq_poly_oracle(xs, ys, degree):
     return coeffs, float(resid @ resid)
 
 
+def per_degree_fit_poly(xs, ys, max_degree, r2_target):
+    """fit_poly as a loop that builds each degree's Chebyshev basis afresh
+    and converts every fit; the one-basis version must match it exactly."""
+    t = 2.0 * xs / np.pi - 1.0
+    for degree in range(max_degree + 1):
+        V = np.polynomial.chebyshev.chebvander(t, degree)
+        c = np.linalg.solve(V.T @ V, V.T @ ys)
+        r2 = interpret._r_squared(ys, float(np.sum((V @ c - ys) ** 2)))
+        fit = (np.polynomial.chebyshev.cheb2poly(c), degree, r2)
+        if r2 >= r2_target:
+            break
+    return fit
+
+
 def theta_zero_model(shape, dr_layers=1, seed=0):
     spec = spec_from_shape(shape, dr_layers=dr_layers, seed=seed)
     m = init_model(spec)
@@ -130,6 +144,24 @@ class TestFitPoly:
             interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, xs),
                                max_degree=6)
 
+    def test_negative_max_degree_rejected(self):
+        xs = np.linspace(0.0, np.pi, 8)
+        with pytest.raises(ValueError, match="max_degree"):
+            interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, xs),
+                               max_degree=-1)
+
+    @pytest.mark.parametrize("r2_target", [0.5, 0.99, 0.9999, 2.0])
+    def test_matches_per_degree_reference_bitwise(self, r2_target):
+        rng = np.random.default_rng(4)
+        for grid in (9, 65, 257):
+            xs = np.linspace(0.0, np.pi, grid)
+            ys = np.cos(3 * xs + rng.uniform(0, 6)) * rng.uniform(0.2, 1)
+            fit = interpret.fit_poly(
+                interpret.EdgeFunctionSample((0, 0, 0), xs, ys), 6, r2_target)
+            coeffs, degree, r2 = per_degree_fit_poly(xs, ys, 6, r2_target)
+            assert (fit.degree, fit.r_squared) == (degree, r2)
+            assert fit.coefficients.tobytes() == coeffs.tobytes()
+
     def test_r_squared_clamped_at_zero(self):
         # worse-than-mean fit: degree 0 on strongly sloped data is the mean,
         # so force max_degree=0 and check against wild data offsets
@@ -221,7 +253,7 @@ class TestReport:
         with pytest.raises(interpret.ReportFormatError):
             interpret.load_report(mangled)
 
-    def test_mutated_file_loads_or_raises_format_error(self, tmp_path):
+    def saved_dense_head_report(self, tmp_path):
         m = init_model(spec_from_shape([2, 2, 1], dr_layers=3, dense_head=True,
                                        seed=0))
         m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
@@ -234,7 +266,46 @@ class TestReport:
 
         p = tmp_path / "report.txt"
         interpret.save_report(interpret.report(m, Plain()), p)
-        assert escapes(p, interpret.load_report, interpret.ReportFormatError) == []
+        return p
+
+    def test_mutated_file_loads_or_raises_format_error(self, tmp_path):
+        p = self.saved_dense_head_report(tmp_path)
+
+        def load_consistent(path):
+            # a file that loads must still fit its own shape
+            rep = interpret.load_report(path)
+            shape = rep.shape
+            assert len(rep.input_norm) == shape[0]
+            assert [len(d) for d in rep.divisors] == list(shape[1:])
+            assert [e.edge_id for e in rep.edges] == [
+                (k, i, u) for k in range(len(shape) - 1)
+                for i in range(shape[k]) for u in range(shape[k + 1])]
+
+        assert escapes(p, load_consistent, interpret.ReportFormatError) == []
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("divisors 1 ", None, "divisors record 1"),
+        ("edge 1 1 0 ", None, r"edge record \(1, 1, 0\)"),
+        ("edge 0 0 1 ", None, r"edge record \(0, 0, 1\)"),
+        ("edge 0 0 0 ", "edge 7 0 0 ", r"\(7, 0, 0\) does not fit"),
+        ("edge 0 1 1 ", "edge 0 1 1 ", "duplicate record"),
+        ("shape 2 2 1", "shape 3 2 1", "input record 2"),
+    ])
+    def test_record_not_fitting_shape_rejected(self, tmp_path, old, new, match):
+        p = self.saved_dense_head_report(tmp_path)
+        lines = []
+        for line in p.read_text().splitlines():
+            if line.startswith(old):
+                if new == old:  # duplicate the row
+                    lines.append(line)
+                if new is not None:
+                    lines.append(new + line[len(old):])
+            else:
+                lines.append(line)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(interpret.ReportFormatError,
+                           match=r"report\.txt:\d+: .*" + match):
+            interpret.load_report(p)
 
     def test_coeffs_csv_shape(self, tmp_path):
         model, ds = self.trained_model()

@@ -20,7 +20,7 @@ from quirk.dr import (
     _setup,
     _sweep,
     _z0,
-    dr_forward,
+    dr_forward_batch,
 )
 
 import oracles
@@ -170,7 +170,7 @@ class TestCnot:
         # one qubit has no ring: the would-be CNOT(0, 0) is never built
         assert all(op[0] != "cnot" for op in _ops(1, True, GateTemplate(), 3))
         thetas = np.random.default_rng(2).uniform(-np.pi, np.pi, (3, 2))
-        assert dr_forward(0.7, DRParams(thetas, entangle=True)) == dr_forward(
+        assert dr_forward_batch(0.7, DRParams(thetas, entangle=True)) == dr_forward_batch(
             0.7, DRParams(thetas))
 
 

@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from quirk.data import Dataset, generate, train_val_test_split
-from quirk.network import network_forward, param_count, spec_from_shape
+from quirk.network import (fit_input_norm, init_model, network_forward,
+                           param_count, spec_from_shape)
 from quirk.train import (AdamState, TrainConfig, TrainingDivergedError,
                          adam_step, edge_scores, prune, rmse, train)
 
@@ -205,6 +206,13 @@ class TestPruning:
         assert not pruned.edge_active[0][1, 0]  # constant-feature edge gone
         assert pruned.edge_active[0][0, 0]
         assert param_count(pruned) == param_count(model) - 4
+
+    def test_negative_tau_rejected(self):
+        ds = uni_dataset(np.sin, seed=12)
+        model = init_model(spec_from_shape([1, 1], dr_layers=1, seed=0))
+        model.input_norm = fit_input_norm(ds.X)
+        with pytest.raises(ValueError, match="tau"):
+            prune(model, ds, tau=-1.0)
 
     def test_dead_unit_cascades_forward(self):
         model, ds = self.trained(seed=5)
