@@ -196,13 +196,16 @@ def load_cli_config(args) -> dict:
         cfg["train"]["seed"] = args.seed
     if cfg["dataset"]["split_seed"] is None:
         cfg["dataset"]["split_seed"] = cfg["dataset"]["seed"]
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) is not None:
         cfg["output"]["dir"] = args.out
     return cfg
 
 
 def _outdir(cfg) -> str:
     path = cfg["output"]["dir"]
+    if not path:
+        raise ConfigError("[output] dir must not be empty (set it in the "
+                          "config or with --out)")
     os.makedirs(path, exist_ok=True)
     return path
 

@@ -16,8 +16,15 @@ not here.
 
 Internally everything is vectorized: the kernel accepts an input array of
 any shape together with a stacked theta array ``(L, ..., P)`` (one qubit)
-or ``(L, ..., n, P)`` whose middle axes broadcast against the input, which
-is how a whole network layer (batch x edges) is evaluated in one pass.
+or ``(L, ..., n, P)`` whose middle axes broadcast against the input.
+
+The kernel is also a compiler.  With K encoding gates in all, the readout
+is exactly a real trigonometric polynomial of degree K in x, so ``_series``
+runs the adjoint sweep once on 2K+1 nodes for every edge of a network layer
+and turns the values and angle gradients into Fourier coefficients and
+their Jacobian with a fixed real DFT.  The network evaluates and trains
+from those coefficients; the statevector kernel serves ``dr_forward_batch``,
+``dr_gradient`` and the compile step.
 """
 
 from __future__ import annotations
@@ -296,6 +303,63 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
             lam[i], lam[j] = _gate_apply(kind, coeffs, lam[i], lam[j])
             psi[i], psi[j] = _gate_apply(kind, coeffs, psi[i], psi[j])
     return f, dx, dtheta
+
+
+# --- compiler ---------------------------------------------------------------
+# An edge with K encoding gates in all is a real trigonometric polynomial of
+# degree K in x (each gate adds frequencies +-1/2 to bra and ket, so <Z>
+# holds integer frequencies |k| <= K), hence 2K+1 samples fix it exactly.
+
+# compiled parameter states kept (one per layer and angle state); an entry is
+# two small coefficient arrays.  A training step compiles each layer once in
+# its backward pass and hits the cache in its validation and train forwards.
+_SERIES_CACHE = 32
+
+
+@lru_cache(maxsize=None)
+def _dft(K: int) -> np.ndarray:
+    """Real DFT (2K+1, 2K+1) taking values at x_m = 2 pi m / (2K+1) to the
+    coefficients of [1, cos x, ..., cos Kx, sin x, ..., sin Kx]."""
+    N = 2 * K + 1
+    kx = np.outer(np.arange(1, K + 1), 2.0 * np.pi * np.arange(N) / N)
+    D = np.concatenate([np.ones((1, N)), 2.0 * np.cos(kx), 2.0 * np.sin(kx)]) / N
+    D.flags.writeable = False
+    return D
+
+
+@lru_cache(maxsize=_SERIES_CACHE)
+def _series_of(raw: bytes, shape: tuple, n: int, entangle: bool,
+               template: GateTemplate):
+    thetas = np.frombuffer(raw, dtype=np.float64).reshape(shape)
+    K = sum(1 for _, s in template.gates if s == "input") * n * shape[0]
+    D = _dft(K)
+    mid = len(shape) - (2 if n == 1 else 3)  # edge axes between L and ([n,] P)
+    nodes = (2.0 * np.pi / (2 * K + 1)) * np.arange(2 * K + 1)
+    f, _, dtheta = _grad(nodes.reshape((-1,) + (1,) * mid), thetas, n, entangle,
+                         template)
+    c = np.ascontiguousarray(np.moveaxis(np.tensordot(D, f, axes=(1, 0)), 0, -1))
+    J = np.tensordot(dtheta, D, axes=(1, 1))
+    c.flags.writeable = J.flags.writeable = False
+    return K, c, J
+
+
+def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
+    """Compile the edges of stacked ``thetas`` (L, ..., P) or (L, ..., n, P)
+    to their exact Fourier series.
+
+    Returns (K, c, J): the degree K, the coefficients c (..., 2K+1) over the
+    basis [1, cos kx (k = 1..K), sin kx (k = 1..K)], and their Jacobian
+    J = dc/dthetas, shaped thetas.shape + (2K+1,).  All edges are compiled
+    in one adjoint sweep over the 2K+1 nodes.  Results are memoised on the
+    angles' content (not the array's identity, since optimizers update in
+    place) and are read-only.
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    return _series_of(thetas.tobytes(), thetas.shape, n, entangle, template)
+
+
+_series.cache_info = _series_of.cache_info
+_series.cache_clear = _series_of.cache_clear
 
 
 # --- public ops -------------------------------------------------------------

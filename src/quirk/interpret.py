@@ -290,6 +290,12 @@ def load_report(path) -> InterpretReport:
     def fail(no, msg):
         raise ReportFormatError(f"{path}:{no + 1}: {msg}")
 
+    def num(t):
+        v = float(t)
+        if not np.isfinite(v):
+            raise ValueError(f"non-finite number {t!r}")
+        return v
+
     def put(rows, key, value, no):
         if key in rows:
             fail(no, f"duplicate record {key}, first on line {rows[key][1] + 1}")
@@ -322,23 +328,23 @@ def load_report(path) -> InterpretReport:
                 shape, shape_no = tuple(int(t) for t in tok[1:]), no
             elif tok[0] == "settings":
                 settings = {"grid": int(tok[2]), "max_degree": int(tok[4]),
-                            "r2_target": float(tok[6])}
+                            "r2_target": num(tok[6])}
             elif tok[0] == "bias_flag":
                 bias_flag = int(tok[1])
                 if bias_flag not in (0, 1):
                     fail(no, f"bias_flag must be 0 or 1, got {bias_flag}")
             elif tok[0] == "input":
-                put(norm_rows, int(tok[1]), (float(tok[3]), float(tok[5])), no)
+                put(norm_rows, int(tok[1]), (num(tok[3]), num(tok[5])), no)
             elif tok[0] == "divisors":
-                put(divisors, int(tok[1]), [float(t) for t in tok[2:]], no)
+                put(divisors, int(tok[1]), [num(t) for t in tok[2:]], no)
             elif tok[0] == "edge":
                 eid = (int(tok[1]), int(tok[2]), int(tok[3]))
                 if tok[4] == "pruned":
                     e = EdgeReport(eid, active=False, fit=None)
                 elif tok[4] == "active":
                     degree = int(tok[6])
-                    r2 = float(tok[8])
-                    coeffs = np.array([float(t) for t in tok[10:]])
+                    r2 = num(tok[8])
+                    coeffs = np.array([num(t) for t in tok[10:]])
                     if degree < 0 or coeffs.size != degree + 1:
                         fail(no, f"degree {degree} needs {degree + 1} "
                                  f"coefficients, found {coeffs.size}")
@@ -347,11 +353,11 @@ def load_report(path) -> InterpretReport:
                     fail(no, f"edge state must be active|pruned, got {tok[4]!r}")
                 put(edges, eid, e, no)
             elif tok[0] == "dense":
-                dense = None if tok[1] == "none" else (float(tok[2]), float(tok[4]))
+                dense = None if tok[1] == "none" else (num(tok[2]), num(tok[4]))
             elif tok[0] == "surrogate_rmse":
-                surrogate_rmse = float(tok[1])
+                surrogate_rmse = num(tok[1])
             elif tok[0] == "model_rmse":
-                model_rmse = float(tok[1])
+                model_rmse = num(tok[1])
             elif tok[0] == "end":
                 saw_end = True
                 break

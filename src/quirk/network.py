@@ -12,9 +12,11 @@ on training data (min, max) -> [0, pi]; inference clamps.
 
 Parameters are stored stacked per layer -- thetas[k] has shape
 (L, fan_in, units, P) for single-qubit edges, (L, fan_in, units, n, P)
-for n-qubit edges -- so a whole layer evaluates in one vectorized kernel
-call whatever its qubit count (the no-gradient pass splits big batches
-into row blocks to bound memory).  ``edge_active`` boolean masks support
+for n-qubit edges.  A layer's edges are compiled once per parameter
+state to their exact Fourier series in x (``dr._series``: one statevector
+sweep over 2K+1 nodes for all edges, whatever the qubit count), and every
+forward and backward pass evaluates the layer as a real-valued contraction
+with the basis [1, cos kx, sin kx].  ``edge_active`` boolean masks support
 pruning: an inactive edge contributes nothing, is not trained, and is not
 counted.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dr import DEFAULT_TEMPLATE, DRParams, GateTemplate, _check_capacity, _forward, _grad
+from .dr import DEFAULT_TEMPLATE, DRParams, GateTemplate, _check_capacity, _series
 
 
 class ModelFormatError(ValueError):
@@ -249,35 +251,48 @@ def _unit_divisors(layer: LayerSpec, active: np.ndarray) -> np.ndarray:
     return np.maximum(counts, 1.0)
 
 
-# the no-gradient pass runs in row blocks of at most this many amplitudes
-# (rows x edges x 2^n), which bounds the kernel's peak memory on big batches
-_BLOCK_AMPLITUDES = 2**16
-
-
 def _layer_eval(h: np.ndarray, layer: LayerSpec, thetas: np.ndarray,
                 active: np.ndarray, template: GateTemplate, want_grads: bool):
     """Evaluate one layer on normalized inputs h (B, fan_in).
 
-    Every edge of the layer runs in one broadcast kernel call over
-    (B, fan_in, units).  Returns (unit_sums (B, units), edge_vals
-    (B, fan_in, units), edge_dx, edge_dtheta); the gradient pieces are None
-    unless requested.  Inactive edges contribute nothing; their gradient
-    pieces are left unmasked, since network_backward contracts them with a
-    masked cotangent.
+    The layer's edges are compiled to their Fourier series (``dr._series``,
+    once per parameter state), so edge (i, u) reads
+    f(x) = c_0 + sum_k c_k cos kx + c_{K+k} sin kx.  The basis depends on
+    the input only.  f accumulates in a fixed loop of broadcast
+    multiply-adds over rows, and unit sums add the inputs in order, so a row
+    gets the same arithmetic in any batch.  Returns (unit_sums (B, units),
+    edge_vals (B, fan_in, units), basis (2K+1, fan_in, B) or None unless
+    ``want_grads``, coefficients c (fan_in, units, 2K+1) with inactive edges
+    zeroed, and their Jacobian J = dc/dthetas).
     """
-    x = h[:, :, None]  # broadcast over units
-    wiring = (layer.qubits_per_edge, layer.entangle, template)
+    K, c, J = _series(thetas, layer.qubits_per_edge, layer.entangle, template)
+    c = c * active[:, :, None]
+    x = np.ascontiguousarray(h.T)
+    cos1, sin1 = np.cos(x), np.sin(x)
+    # the backward pass needs the whole basis; a forward pass keeps only
+    # the current frequency, so big batches need no (2K+1)-fold copy
+    basis = np.empty((2 * K + 1,) + x.shape) if want_grads else None
+    # f[i, u, b], rows innermost
+    f = np.empty(c.shape[:2] + x.shape[1:])
+    f[...] = c[:, :, :1]
+    term = np.empty_like(f)
+    cos_k, sin_k = cos1, sin1
+    for k in range(1, K + 1):
+        if k > 1:  # angle addition
+            cos_k, sin_k = cos_k * cos1 - sin_k * sin1, sin_k * cos1 + cos_k * sin1
+        f += np.multiply(cos_k[:, None, :], c[:, :, k:k + 1], out=term)
+        f += np.multiply(sin_k[:, None, :], c[:, :, K + k:K + k + 1], out=term)
+        if want_grads:
+            basis[k], basis[K + k] = cos_k, sin_k
     if want_grads:
-        f, dx, dth = _grad(x, thetas, *wiring)
-    else:
-        rows = max(1, _BLOCK_AMPLITUDES // (layer.edges * 2**layer.qubits_per_edge))
-        f = np.empty((h.shape[0], layer.fan_in, layer.units))
-        for r in range(0, h.shape[0], rows):
-            f[r:r + rows] = _forward(x[r:r + rows], thetas, *wiring)
-        dx = dth = None
-    f = f * active
-    sums = f.sum(axis=1)
-    return sums, f, dx, dth
+        basis[0] = 1.0
+    # a readout <Z> lies in [-1, 1]; keep the series' rounding inside it
+    np.minimum(f, 1.0, out=f)
+    np.maximum(f, -1.0, out=f)
+    sums = f[0].copy()
+    for i in range(1, layer.fan_in):
+        sums += f[i]
+    return sums.T, f.transpose(2, 0, 1), basis, c, J
 
 
 def layer_forward(inputs, thetas, active=None, entangle: bool = False,
@@ -301,14 +316,16 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
                       qubits_per_edge=n, entangle=entangle)
     if active is None:
         active = np.ones((fan_in, units), dtype=bool)
-    sums, _, _, _ = _layer_eval(h, layer, thetas, np.asarray(active, dtype=bool),
-                                template, want_grads=False)
+    sums = _layer_eval(h, layer, thetas, np.asarray(active, dtype=bool), template,
+                       want_grads=False)[0]
     return sums[0] if single else sums
 
 
 def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     """Shared forward: returns (yhat (B,), caches).  caches[k] holds the
-    layer's (unit_sums, edge_dx, edge_dtheta) plus the rescale divisors."""
+    layer's unit sums, edge values, Fourier basis (None unless
+    ``want_grads``), coefficients and their Jacobian (see _layer_eval), plus
+    the rescale divisors."""
     if model.input_norm is None:
         raise RuntimeError(
             "input normalization is unfitted; train first or set model.input_norm")
@@ -323,9 +340,9 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     v = None
     n_layers = len(model.spec.layers)
     for k, layer in enumerate(model.spec.layers):
-        v, f, dx, dth = _layer_eval(h, layer, model.thetas[k], model.edge_active[k],
-                                    model.spec.template, want_grads)
-        caches.append({"v": v, "f": f, "dx": dx, "dth": dth})
+        v, f, basis, c, J = _layer_eval(h, layer, model.thetas[k], model.edge_active[k],
+                                        model.spec.template, want_grads)
+        caches.append({"v": v, "f": f, "basis": basis, "c": c, "J": J})
         if k < n_layers - 1:
             div = _unit_divisors(layer, model.edge_active[k])
             caches[-1]["div"] = div
@@ -384,13 +401,21 @@ def network_backward(X, y, model: Model):
 
     for k in range(len(model.spec.layers) - 1, -1, -1):
         cache = caches[k]
-        mask = model.edge_active[k].astype(np.float64)
-        edge_cot = cot[:, None, :] * mask  # (B, fan_in, units)
-        grads.thetas[k] = np.einsum("lbiu...,biu->liu...", cache["dth"], edge_cot)
+        basis, c = cache["basis"], cache["c"]
+        # contract the cotangent with the basis first, so no per-sample
+        # dtheta is ever built: G[i, u, m] = sum_b basis_m(h_bi) cot_bu
+        G = np.matmul(basis.transpose(1, 0, 2), cot).transpose(0, 2, 1)
+        G *= model.edge_active[k][:, :, None]
+        grads.thetas[k] = np.einsum("liu...k,iuk->liu...", cache["J"], G)
         if k > 0:
-            dh = np.einsum("biu,biu->bi", cache["dx"], edge_cot)
+            # dh_bi = sum_m basis'_m(h_bi) sum_u c_ium cot_bu, with
+            # (cos jx)' = -j sin jx and (sin jx)' = j cos jx; c is masked
+            K = basis.shape[0] // 2
+            H = np.matmul(c.transpose(0, 2, 1), cot.T).transpose(1, 0, 2)
+            j = np.arange(1.0, K + 1)[:, None, None]
+            dh = (j * (basis[1:K + 1] * H[K + 1:] - basis[K + 1:] * H[1:K + 1])).sum(axis=0)
             div = caches[k - 1]["div"]
-            cot = dh * (np.pi / (2.0 * div)) * caches[k - 1]["open"]
+            cot = dh.T * (np.pi / (2.0 * div)) * caches[k - 1]["open"]
     return loss, yhat, grads
 
 

@@ -175,6 +175,16 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "range_lo" in err
 
+    @pytest.mark.parametrize("how", ["config", "flag"])
+    def test_empty_output_dir(self, tmp_path, capsys, how):
+        if how == "config":
+            cfg, flag = cfg_file(tmp_path, TINY.format(out="")), []
+        else:
+            cfg, flag = tiny(tmp_path), ["--out", ""]
+        assert main(["train", "--config", cfg] + flag) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "[output] dir" in err
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         assert main(["train", "--config", tiny(tmp_path), "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err

@@ -307,6 +307,30 @@ class TestReport:
                            match=r"report\.txt:\d+: .*" + match):
             interpret.load_report(p)
 
+    @pytest.mark.parametrize("record,index,value", [
+        ("settings", 6, "nan"),
+        ("input", 3, "inf"),
+        ("divisors", 2, "nan"),
+        ("edge 0 0 0", 8, "nan"),
+        ("edge 0 0 0", 10, "nan"),
+        ("dense", 2, "-inf"),
+        ("surrogate_rmse", 1, "nan"),
+        ("model_rmse", 1, "inf"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, record, index, value):
+        p = self.saved_dense_head_report(tmp_path)
+        lines = p.read_text().splitlines()
+        if record == "model_rmse":  # written only when the report had targets
+            lines.insert(-1, "model_rmse 0.5")
+        no = next(n for n, ln in enumerate(lines) if ln.startswith(record + " "))
+        tok = lines[no].split()
+        tok[index] = value
+        lines[no] = " ".join(tok)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(interpret.ReportFormatError,
+                           match=rf"report\.txt:{no + 1}: .*non-finite"):
+            interpret.load_report(p)
+
     def test_coeffs_csv_shape(self, tmp_path):
         model, ds = self.trained_model()
         rep = interpret.report(model, ds)

@@ -1,8 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quirk.dr import SU2_TEMPLATE
+from quirk.dr import DEFAULT_TEMPLATE, SU2_TEMPLATE, GateTemplate, _forward, _grad, _series
 from quirk.network import (LayerSpec, Model, ModelFormatError,
                            ModelVersionError, NetworkSpec, fit_input_norm,
                            apply_input_norm, init_model, load_model,
@@ -10,7 +12,7 @@ from quirk.network import (LayerSpec, Model, ModelFormatError,
                            rescale, save_model, spec_from_shape)
 
 from mutations import escapes
-from oracles import central_diff
+from oracles import central_diff, naive_dr_forward
 
 
 def small_model(shape=(2, 2, 1), dr_layers=2, seed=0, dense=False, **kw):
@@ -163,10 +165,6 @@ class TestForward:
         npt.assert_allclose(batch, singles, atol=0)
         assert isinstance(singles[0], float)
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known last-bit mismatch: a layer with a single edge multiplies "
-        "complex RZ phases against size-1 operands, which numpy evaluates "
-        "with different rounding for one row than for a batch"))
     def test_single_edge_layer_single_row_equals_batch_bitwise(self):
         m = init_model(spec_from_shape([2, 1, 1], dr_layers=3, seed=0))
         X = np.random.default_rng(0).uniform(0, 1, (1000, 2))
@@ -375,3 +373,122 @@ class TestSerialization:
         m.edge_active[0][1, 0] = False
         save_model(m, p)
         assert escapes(p, load_model, ModelFormatError) == []
+
+
+# --- network-level property test --------------------------------------------
+
+_NET_TEMPLATES = {"default": DEFAULT_TEMPLATE, "su2": SU2_TEMPLATE,
+                  "ry-only": GateTemplate((("ry", "input"),))}
+
+
+def _oracle_network(model, x_raw):
+    """One row through the network, every edge simulated gate by gate."""
+    spec = model.spec
+    h = apply_input_norm(model.input_norm, np.asarray(x_raw, dtype=np.float64))
+    for k, layer in enumerate(spec.layers):
+        active = model.edge_active[k]
+        v = np.zeros(layer.units)
+        for i in range(layer.fan_in):
+            for u in range(layer.units):
+                if active[i, u]:
+                    v[u] += naive_dr_forward(
+                        h[i], model.thetas[k][:, i, u], template=list(spec.template.gates),
+                        num_qubits=layer.qubits_per_edge, entangle=layer.entangle)
+        if k < len(spec.layers) - 1:
+            div = np.maximum(active.sum(axis=0), 1.0)
+            h = np.clip(((v / div) + (1 - spec.bias_flag)) / 2.0 * np.pi, 0.0, np.pi)
+    out = v[0]
+    return model.dense_w * out + model.dense_b if spec.dense_head else out
+
+
+@st.composite
+def _networks(draw):
+    widths = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 3)))] + [1]
+    n = draw(st.integers(1, 3))
+    spec = spec_from_shape(
+        widths, dr_layers=[draw(st.integers(1, 2)) for _ in widths[1:]],
+        dense_head=draw(st.booleans()), bias_flag=draw(st.integers(0, 1)),
+        seed=draw(st.integers(0, 2**16)), qubits_per_edge=n,
+        entangle=n > 1 and draw(st.booleans()),
+        template=_NET_TEMPLATES[draw(st.sampled_from(sorted(_NET_TEMPLATES)))])
+    m = init_model(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # masks may leave units with no live edge, and then their outputs dead
+    m.edge_active = [rng.uniform(size=a.shape) < 0.75 for a in m.edge_active]
+    m.dense_w, m.dense_b = rng.normal(size=2)
+    m.input_norm = np.stack([np.zeros(spec.input_dim), np.ones(spec.input_dim)], axis=1)
+    return m, rng
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=_networks())
+def test_network_matches_oracles(case):
+    m, rng = case
+    X = rng.uniform(0, 1, (5, m.spec.input_dim))
+    y = rng.normal(size=5)
+    for k, layer in enumerate(m.spec.layers):
+        # the compiled series against the statevector kernel at random x
+        wiring = (layer.qubits_per_edge, layer.entangle, m.spec.template)
+        K, c, J = _series(m.thetas[k], *wiring)
+        x = rng.uniform(0, np.pi, (7, 1, 1))
+        kx = np.arange(1, K + 1) * x[..., None]
+        basis = np.concatenate([np.ones_like(kx[..., :1]), np.cos(kx), np.sin(kx)], -1)
+        dbasis = np.concatenate([np.zeros_like(kx[..., :1]),
+                                 -np.arange(1, K + 1) * np.sin(kx),
+                                 np.arange(1, K + 1) * np.cos(kx)], -1)
+        f, dx, dth = _grad(x, m.thetas[k], *wiring)
+        npt.assert_array_equal(f, _forward(x, m.thetas[k], *wiring))
+        npt.assert_allclose(np.einsum("biuk,iuk->biu", basis, c), f, rtol=0, atol=1e-12)
+        npt.assert_allclose(np.einsum("biuk,iuk->biu", dbasis, c), dx, rtol=0, atol=1e-12)
+        npt.assert_allclose(np.einsum("biuk,liu...k->lbiu...", basis, J), dth,
+                            rtol=0, atol=1e-12)
+    out = network_forward(X, m)
+    npt.assert_allclose(out, [_oracle_network(m, x) for x in X], rtol=0, atol=1e-12)
+
+    loss, yhat, grads = network_backward(X, y, m)
+    npt.assert_array_equal(yhat, out)
+
+    def loss_at(trial):
+        return 0.5 * np.mean((network_forward(X, trial) - y) ** 2)
+
+    for k, th in enumerate(m.thetas):
+        for idx in rng.choice(th.size, size=min(th.size, 3), replace=False):
+            def coord(v, k=k, idx=idx):
+                trial = m.copy()
+                trial.thetas[k].reshape(-1)[idx] = v
+                return loss_at(trial)
+            fd = central_diff(coord, th.reshape(-1)[idx], h=1e-6)
+            npt.assert_allclose(grads.thetas[k].reshape(-1)[idx], fd, rtol=1e-5, atol=1e-9)
+    if m.spec.dense_head:
+        for name in ("dense_w", "dense_b"):
+            def head(v, name=name):
+                trial = m.copy()
+                setattr(trial, name, v)
+                return loss_at(trial)
+            fd = central_diff(head, getattr(m, name), h=1e-6)
+            npt.assert_allclose(getattr(grads, name), fd, rtol=1e-5, atol=1e-9)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(case=_networks())
+def test_compiled_series_cache_is_safe(case):
+    m, rng = case
+    X = rng.uniform(0, 1, (5, m.spec.input_dim))
+    network_forward(X, m)  # compiles every layer
+
+    def fresh_output():
+        _series.cache_clear()
+        return network_forward(X, m.copy()).tobytes()
+
+    k = int(rng.integers(len(m.thetas)))
+    m.thetas[k] += 0.25  # in place, as Adam updates
+    assert network_forward(X, m).tobytes() == fresh_output()
+    m.edge_active[k][tuple(rng.integers(m.edge_active[k].shape))] ^= True
+    assert network_forward(X, m).tobytes() == fresh_output()
+    layer = m.spec.layers[k]
+    _, c, J = _series(m.thetas[k], layer.qubits_per_edge, layer.entangle,
+                      m.spec.template)
+    with pytest.raises(ValueError, match="read-only"):
+        c[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        J[...] = 0.0
