@@ -1,12 +1,12 @@
-"""Shrinking a trained network by a third.
+"""Shrinking a trained network by half.
 
 An edge whose circuit output barely moves over the training inputs is dead
 weight: the downstream unit sees an almost-constant contribution that the
 rescale layer can absorb.  We score every edge by the standard deviation of
 its output, drop edges scoring under tau x (network-wide best), cascade away
-units left with no inputs, and fine-tune the survivors.
+units left with no inputs or no outputs, and fine-tune the survivors.
 
-Here that takes the Gaussian-bell model (I.6.2) from 36 to 24 parameters.
+Here that takes the Gaussian-bell model (I.6.2) from 36 to 18 parameters.
 
 Run:  python demos/pruning_walkthrough.py      (about 40 s)
 """

@@ -2,9 +2,12 @@
 
 Every edge of the network is a univariate map from the encoding domain
 [0, pi] into [-1, 1], so each one can be sampled on a grid and fitted with a
-low-degree polynomial.  Composing those polynomials through the (purely
-affine) rescale maps and the dense head gives a classical surrogate whose
-error against the model is measured directly.
+low-degree polynomial.  ``report`` reads the samples from each layer's
+compiled Fourier series (the evaluator the network itself runs), not from
+the circuit; ``sample_edge`` simulates one edge's circuit and stays as the
+independent reference for plots and tests.  Composing those polynomials
+through the (purely affine) rescale maps and the dense head gives a
+classical surrogate whose error against the model is measured directly.
 
 Fits run on a Chebyshev basis over t = 2*x/pi - 1 for conditioning; reported
 coefficients are monomials in t (ascending degree).  Keep that variable
@@ -21,7 +24,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .dr import dr_forward_batch
-from .network import Model, _unit_divisors, apply_input_norm, network_forward, rescale
+from .network import (Model, _layer_eval, _unit_divisors, apply_input_norm,
+                      network_forward, rescale)
 from .data import write_csv_rows
 
 DEFAULT_GRID_SIZE = 257
@@ -203,24 +207,29 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
            max_degree: int = DEFAULT_MAX_DEGREE,
            r2_target: float = DEFAULT_R2_TARGET) -> InterpretReport:
     """Fit every active edge, compose the surrogate, and measure its RMSE
-    against the model.  ``dataset`` supplies the evaluation inputs (the test
-    split when one is attached, otherwise all rows)."""
+    against the model.  Each layer's edges are sampled on the grid in one
+    evaluation of its compiled Fourier series, so the fits see exactly the
+    function the model serves.  ``dataset`` supplies the evaluation inputs
+    (the test split when one is attached, otherwise all rows)."""
     if model.input_norm is None:
         raise RuntimeError("model has no fitted input normalization")
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    xs = np.linspace(0.0, np.pi, grid_size)
     edges = []
     divisors = []
     for k, layer in enumerate(model.spec.layers):
-        divisors.append(_unit_divisors(layer, model.edge_active[k]).tolist())
+        active = model.edge_active[k]
+        divisors.append(_unit_divisors(layer, active).tolist())
+        f = _layer_eval(np.repeat(xs[:, None], layer.fan_in, axis=1), layer,
+                        model.thetas[k], active, model.spec.template,
+                        want_grads=False)[1]
         for i in range(layer.fan_in):
             for u in range(layer.units):
-                if model.edge_active[k][i, u]:
-                    fit = fit_poly(sample_edge(model, (k, i, u), grid_size),
-                                   max_degree, r2_target)
-                else:
-                    fit = None
+                fit = (fit_poly(EdgeFunctionSample((k, i, u), xs, f[:, i, u]),
+                                max_degree, r2_target) if active[i, u] else None)
                 edges.append(EdgeReport(edge_id=(k, i, u),
-                                        active=bool(model.edge_active[k][i, u]),
-                                        fit=fit))
+                                        active=bool(active[i, u]), fit=fit))
     if dataset.splits is not None:
         X_eval, y_eval = dataset.part("test")
     else:
@@ -327,7 +336,11 @@ def load_report(path) -> InterpretReport:
             if tok[0] == "shape":
                 shape, shape_no = tuple(int(t) for t in tok[1:]), no
             elif tok[0] == "settings":
-                settings = {"grid": int(tok[2]), "max_degree": int(tok[4]),
+                grid, max_degree = int(tok[2]), int(tok[4])
+                if not (0 <= max_degree < grid and grid >= 2):
+                    fail(no, f"grid {grid} and max_degree {max_degree} break "
+                             f"0 <= max_degree < grid, grid >= 2")
+                settings = {"grid": grid, "max_degree": max_degree,
                             "r2_target": num(tok[6])}
             elif tok[0] == "bias_flag":
                 bias_flag = int(tok[1])
@@ -390,6 +403,10 @@ def load_report(path) -> InterpretReport:
             fail(no, f"layer {k} has {shape[k + 1]} unit(s) but {len(div)} divisor(s)")
         if not all(d >= 1.0 for d in div):
             fail(no, f"divisors must be >= 1, got {div}")
+    for e, no in edges.values():
+        if e.active and e.fit.degree > settings["max_degree"]:
+            fail(no, f"degree {e.fit.degree} exceeds max_degree "
+                     f"{settings['max_degree']}")
     input_norm = np.array([norm_rows[f][0] for f in want["input"][1]])
     div_list = [divisors[k][0] for k in want["divisors"][1]]
     edge_list = [edges[eid][0] for eid in want["edge"][1]]

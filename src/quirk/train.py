@@ -8,8 +8,8 @@ the loss or parameters aborts with the offending step in the message.
 
 Pruning scores every active edge by the standard deviation of its DR
 output over the training inputs, drops edges scoring below tau times the
-network-wide maximum, cascades unit removal downstream, and fine-tunes
-the survivors.
+network-wide maximum, cascades unit removal downstream and upstream, and
+fine-tunes the survivors.
 """
 
 from __future__ import annotations
@@ -178,8 +178,9 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
     best_val = np.inf
     best_step = -1
     t0 = time.perf_counter()
-    # each step records RMSE of the parameters entering the step, then updates;
-    # full-batch runs reuse the backward pass's own predictions for train RMSE
+    # each step records RMSE of the parameters entering the step, then
+    # updates; train RMSE comes from the backward pass's own predictions, so
+    # a minibatch step reports its batch, not the whole training split
     for step in range(1, max_steps + 1):
         full = bs is None or bs >= n_tr
         if full:
@@ -192,7 +193,7 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
             cursor += bs
             xb, yb = X_tr[take], y_tr[take]
         loss, yhat, grads = network_backward(xb, yb, model)
-        tr = rmse(yhat, yb) if full else rmse(network_forward(X_tr, model), y_tr)
+        tr = rmse(yhat, yb)
         vr = rmse(network_forward(X_val, model), y_val)
         history.record(step, tr, vr, (time.perf_counter() - t0) * 1e3)
         if vr < best_val:
@@ -255,8 +256,10 @@ def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,
     Edges scoring below ``tau`` x (network-wide max score) go inactive; a
     unit with no surviving incoming edges takes its outgoing edges with it.
     If that would disconnect the output, the original model is returned
-    unchanged (with a warning).  Fine-tuning runs ``fine_tune_steps`` Adam
-    steps on the training split.
+    unchanged (with a warning).  Then a unit with no surviving outgoing
+    edges takes its incoming edges with it, since they cannot reach the
+    output.  Fine-tuning runs ``fine_tune_steps`` Adam steps on the
+    training split.
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
@@ -281,6 +284,10 @@ def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,
         warnings.warn("pruning would disconnect the output; returning the "
                       "model unchanged", RuntimeWarning, stacklevel=2)
         return model.copy()
+    # cascade back: edges into a unit that feeds nothing cannot reach the output
+    for k in range(len(pruned.edge_active) - 1, 0, -1):
+        idle_units = pruned.edge_active[k].sum(axis=1) == 0
+        pruned.edge_active[k - 1][:, idle_units] = False
 
     if param_count(pruned) == param_count(model):
         return pruned  # nothing fell below threshold

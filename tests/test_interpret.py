@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from quirk import interpret
 from quirk.data import generate
-from quirk.network import (fit_input_norm, init_model, network_forward,
+from quirk.dr import SU2_TEMPLATE, GateTemplate
+from quirk.network import (Model, fit_input_norm, init_model, network_forward,
                            spec_from_shape)
 from quirk.train import TrainConfig, train
 
@@ -48,6 +50,32 @@ def theta_zero_model(shape, dr_layers=1, seed=0):
     m.input_norm = np.stack([np.zeros(spec.input_dim),
                              np.ones(spec.input_dim)], axis=1)
     return m
+
+
+def readout_models():
+    """A pruned dense-head bias_flag 1 network, a 2-qubit entangled SU2
+    network and a one-gate network, each with inputs normalised to [0, 1]."""
+    pruned = init_model(spec_from_shape([3, 4, 2, 1], dr_layers=2,
+                                        dense_head=True, bias_flag=1, seed=4))
+    pruned.edge_active[0][[0, 2, 1], [1, 1, 3]] = False
+    pruned.edge_active[1][3, 0] = False
+    su2 = init_model(spec_from_shape([2, 2, 1], dr_layers=2, seed=5,
+                                     qubits_per_edge=2, entangle=True,
+                                     template=SU2_TEMPLATE))
+    one_gate = init_model(spec_from_shape(
+        [2, 1], dr_layers=3, seed=6, template=GateTemplate((("ry", "input"),))))
+    for m in (pruned, su2, one_gate):
+        m.input_norm = np.stack([np.zeros(m.spec.input_dim),
+                                 np.ones(m.spec.input_dim)], axis=1)
+    return [pruned, su2, one_gate]
+
+
+def plain_dataset(dim, seed=0):
+    class Plain:
+        X = np.random.default_rng(seed).uniform(0, 1, (60, dim))
+        y = None
+        splits = None
+    return Plain()
 
 
 class TestSampleEdge:
@@ -290,6 +318,14 @@ class TestReport:
         ("edge 0 0 0 ", "edge 7 0 0 ", r"\(7, 0, 0\) does not fit"),
         ("edge 0 1 1 ", "edge 0 1 1 ", "duplicate record"),
         ("shape 2 2 1", "shape 3 2 1", "input record 2"),
+        ("settings grid 257 max_degree 6", "settings grid 257 max_degree -3",
+         "max_degree -3 break"),
+        ("settings grid 257 ", "settings grid 0 ", "grid 0 and"),
+        ("settings grid 257 max_degree 6", "settings grid 1 max_degree 0",
+         "grid 1 and"),
+        ("settings grid 257 ", "settings grid 6 ", "grid 6 and"),
+        ("settings grid 257 max_degree 6", "settings grid 257 max_degree 1",
+         "degree [2-6] exceeds max_degree 1"),
     ])
     def test_record_not_fitting_shape_rejected(self, tmp_path, old, new, match):
         p = self.saved_dense_head_report(tmp_path)
@@ -357,3 +393,48 @@ class TestReport:
         assert not e.active and e.fit is None
         # surrogate must also skip it
         assert interpret.surrogate_forward(rep, Plain.X).shape == (30,)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_report_matches_circuit_readout(self, index):
+        # the per-edge circuit samples are the reference the series must match
+        m = readout_models()[index]
+        ds = plain_dataset(m.spec.input_dim)
+        rep = interpret.report(m, ds)
+        edges = []
+        for e in rep.edges:
+            assert e.active == bool(m.edge_active[e.edge_id[0]][e.edge_id[1:]])
+            if not e.active:
+                edges.append(e)
+                continue
+            ref = interpret.fit_poly(interpret.sample_edge(m, e.edge_id))
+            assert e.fit.degree == ref.degree
+            npt.assert_allclose(e.fit.r_squared, ref.r_squared, rtol=0, atol=1e-12)
+            npt.assert_allclose(e.fit.coefficients, ref.coefficients, rtol=0, atol=1e-9)
+            edges.append(interpret.EdgeReport(e.edge_id, True, ref))
+        ref_rep = dataclasses.replace(rep, edges=edges)
+        ref_rmse = np.sqrt(np.mean((interpret.surrogate_forward(ref_rep, ds.X)
+                                    - network_forward(ds.X, m)) ** 2))
+        npt.assert_allclose(rep.surrogate_rmse, ref_rmse, rtol=1e-12)
+
+    def test_report_does_not_simulate_circuits(self, monkeypatch):
+        m = readout_models()[0]
+        ds = plain_dataset(m.spec.input_dim)
+        want = interpret.report(m, ds)
+
+        def no_circuit(*args, **kwargs):
+            raise AssertionError("report() simulated a circuit")
+
+        monkeypatch.setattr(interpret, "dr_forward_batch", no_circuit)
+        monkeypatch.setattr(Model, "edge_params", no_circuit)
+        got = interpret.report(m, ds)
+        assert got.surrogate_rmse == want.surrogate_rmse
+        for a, b in zip(got.edges, want.edges):
+            assert (a.edge_id, a.active) == (b.edge_id, b.active)
+            if a.active:
+                npt.assert_array_equal(a.fit.coefficients, b.fit.coefficients)
+                assert (a.fit.degree, a.fit.r_squared) == (b.fit.degree, b.fit.r_squared)
+
+    def test_report_grid_size_below_two_rejected(self):
+        m = readout_models()[2]
+        with pytest.raises(ValueError, match="grid_size"):
+            interpret.report(m, plain_dataset(m.spec.input_dim), grid_size=1)

@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quirk.data import Dataset, generate, train_val_test_split
 from quirk.network import (fit_input_norm, init_model, network_forward,
@@ -222,6 +224,18 @@ class TestPruning:
         pruned = prune(model, ds, tau=0.0, fine_tune_steps=0)
         assert not pruned.edge_active[1][1, 0]
 
+    def test_unit_without_outputs_cascades_backward(self):
+        model, ds = self.trained(seed=5)
+        # layer-0 unit 1 feeds nothing: its incoming edges cannot reach the
+        # output, so tau=0 pruning drops them and the outputs stay the same
+        model.edge_active[1][1, 0] = False
+        pruned = prune(model, ds, tau=0.0, fine_tune_steps=0)
+        assert not pruned.edge_active[0][:, 1].any()
+        assert pruned.edge_active[0][:, 0].all()
+        assert param_count(pruned) == param_count(model) - 8
+        npt.assert_array_equal(network_forward(ds.X, pruned),
+                               network_forward(ds.X, model))
+
     def test_disconnection_refused_with_warning(self):
         model, ds = self.trained(seed=6)
         model.edge_active[1][:, 0] = False  # output already cut
@@ -244,3 +258,56 @@ class TestPruning:
             npt.assert_array_equal(a, b)
         for a, b in zip(model.thetas, thetas):
             npt.assert_array_equal(a, b)
+
+
+@st.composite
+def _masked_networks(draw):
+    widths = [draw(st.integers(1, 3)) for _ in range(draw(st.integers(2, 4)))] + [1]
+    spec = spec_from_shape(widths, dr_layers=1, dense_head=draw(st.booleans()),
+                           bias_flag=draw(st.integers(0, 1)),
+                           seed=draw(st.integers(0, 2**16)))
+    m = init_model(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    # sparse enough that many draws leave units with no inputs or no outputs
+    m.edge_active = [rng.uniform(size=a.shape) < draw(st.sampled_from([0.3, 0.6, 0.9]))
+                     for a in m.edge_active]
+    if draw(st.booleans()):  # keep the path through unit 0 of every layer
+        for a in m.edge_active:
+            a[0, 0] = True
+    X = rng.uniform(0, 1, (20, spec.input_dim))
+    m.input_norm = fit_input_norm(X)
+    columns = tuple(f"x{f}" for f in range(spec.input_dim)) + ("y",)
+    return m, Dataset(X, rng.normal(size=20), columns=columns, seed=0).split(seed=0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_masked_networks())
+def test_prune_cascade_invariants(case):
+    model, ds = case
+    # the output is connected when a path of live edges reaches it
+    reach = np.ones(model.spec.input_dim, dtype=bool)
+    for active in model.edge_active:
+        reach = (reach[:, None] & active).any(axis=0)
+    lacks_inputs = any(not a.any(axis=0).all() for a in model.edge_active[:-1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pruned = prune(model, ds, tau=0.0, fine_tune_steps=0)
+    refused = [w for w in caught if "disconnect" in str(w.message)]
+    assert len(refused) == (not reach[0])
+    if refused:
+        assert refused[0].category is RuntimeWarning
+        for a, b in zip(pruned.edge_active, model.edge_active):
+            npt.assert_array_equal(a, b)
+        return
+    masks = pruned.edge_active
+    for a, b in zip(masks, model.edge_active):
+        assert not (a & ~b).any()  # pruning only removes edges
+    for k in range(1, len(masks)):
+        no_inputs = ~masks[k - 1].any(axis=0)
+        assert not masks[k][no_inputs].any()
+        no_outputs = ~masks[k].any(axis=1)
+        assert not masks[k - 1][:, no_outputs].any()
+    assert param_count(pruned) <= param_count(model)
+    if not lacks_inputs:
+        npt.assert_array_equal(network_forward(ds.X, pruned),
+                               network_forward(ds.X, model))
