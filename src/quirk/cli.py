@@ -287,9 +287,10 @@ def _train_config(cfg) -> TrainConfig:
 def _interpret_settings(cfg) -> dict:
     """Keyword arguments of interpret.report from the [interpret] section."""
     i = cfg["interpret"]
-    if i["grid_size"] <= i["max_degree"]:
-        raise ConfigError(f"[interpret] grid_size = {i['grid_size']} must "
-                          f"exceed max_degree = {i['max_degree']}")
+    try:
+        interpret.check_settings(i["grid_size"], i["max_degree"])
+    except ValueError as exc:
+        raise ConfigError(f"[interpret] {exc}") from exc
     return {k: i[k] for k in ("grid_size", "max_degree", "r2_target")}
 
 

@@ -392,6 +392,72 @@ def read_csv_rows(path):
     return header, rows
 
 
+# --- line-record files -------------------------------------------------------
+
+
+def _label(name: str, index: tuple) -> str:
+    shown = index[0] if len(index) == 1 else index
+    return f"{name} record {shown}" if index else f"{name} record"
+
+
+def read_records(path, kind: str, version: str, arity: dict, fail):
+    """Read the container of model and report files: a ``<kind> <version>``
+    header, one record ``<name> <tokens...>`` per line, ``end`` last; blank
+    lines and ``#`` comments are skipped.  A record is keyed by its name and
+    its first ``arity[name]`` tokens (ints where decimal).  Returns
+    ({name: {index tuple: (other tokens, line)}} for each name of ``arity``,
+    line of ``end``).  ``fail(line, message)`` must raise; it gets
+    ``version=True`` on an unsupported version, and is also called on a bad
+    header, an unknown name, a key seen twice, no ``end`` or a line after it.
+    """
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, start=1)
+                 if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != kind:
+        fail(lines[0][0] if lines else 1, f"expected '{kind} <version>' header")
+    no, (_, got) = lines[0]
+    if got != version:
+        fail(no, f"unsupported {kind} version {got!r}; this library reads {version}",
+             version=True)
+    records = {name: {} for name in arity}
+    for j, (no, toks) in enumerate(lines[1:], start=1):
+        name = toks[0]
+        if name == "end":
+            if j + 1 < len(lines):
+                fail(lines[j + 1][0], f"record after 'end' on line {no}")
+            if len(toks) > 1:
+                fail(no, "'end' takes no values")
+            return records, no
+        if name not in arity:
+            fail(no, f"unknown record {name!r}")
+        n = arity[name]
+        index = tuple(int(t) if t.isdecimal() else t for t in toks[1:1 + n])
+        rows = records[name]
+        if index in rows:
+            fail(no, f"duplicate record {' '.join(toks[:1 + n])}, "
+                     f"first on line {rows[index][1]}")
+        rows[index] = (toks[1 + n:], no)
+    fail(lines[-1][0], "missing 'end' record")
+
+
+def check_records(records, want: dict, where: str, no: int, fail) -> None:
+    """Fail unless ``records[name]`` holds exactly the indices ``want[name]``
+    lists, for each name of ``want``.  A record that does not fit is named
+    at its own line, earliest first, before a missing one, named at ``no``."""
+    extra = []
+    for name, indices in want.items():
+        keep = set(indices)
+        extra += [(line, name, index) for index, (_, line) in records[name].items()
+                  if index not in keep]
+    if extra:
+        line, name, index = min(extra)
+        fail(line, f"{_label(name, index)} does not fit {where}")
+    for name, indices in want.items():
+        for index in indices:
+            if index not in records[name]:
+                fail(no, f"{where} needs {_label(name, index)}")
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as x1,...,xn,y (split indices are not stored)."""
     n_in = dataset.input_dim

@@ -370,7 +370,9 @@ def dr_forward_batch(xs, params: DRParams, clamp: bool = True) -> np.ndarray:
     any shape, 0-d included); the result has the shape of ``xs``.
 
     Out-of-domain inputs are clamped (with a warning) unless ``clamp`` is
-    False, in which case the raw 4pi-periodic circuit value is returned.
+    False, in which case the raw circuit value is returned.  That value is
+    2pi-periodic: the readout is a Fourier series with integer frequencies
+    up to K (what ``_series`` compiles), whatever the qubit count.
     """
     xs = _clamp_domain(np.asarray(xs, dtype=np.float64), clamp)
     return _forward(xs, params.thetas, params.num_qubits, params.entangle,

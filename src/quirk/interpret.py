@@ -26,7 +26,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .dr import dr_forward_batch
 from .network import (Model, _layer_eval, _unit_divisors, apply_input_norm,
                       network_forward, rescale)
-from .data import write_csv_rows
+from .data import check_records, read_records, write_csv_rows
 
 DEFAULT_GRID_SIZE = 257
 DEFAULT_MAX_DEGREE = 6
@@ -203,6 +203,14 @@ def surrogate_forward(report: InterpretReport, raw_input) -> np.ndarray:
     return out
 
 
+def check_settings(grid_size: int, max_degree: int) -> None:
+    """The readout's grid rule, shared by ``report``, report files and the
+    CLI: a degree-d fit needs more than d grid points."""
+    if not (0 <= max_degree < grid_size and grid_size >= 2):
+        raise ValueError(f"grid {grid_size} and max_degree {max_degree} break "
+                         f"0 <= max_degree < grid_size, grid_size >= 2")
+
+
 def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
            max_degree: int = DEFAULT_MAX_DEGREE,
            r2_target: float = DEFAULT_R2_TARGET) -> InterpretReport:
@@ -213,8 +221,7 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
     (the test split when one is attached, otherwise all rows)."""
     if model.input_norm is None:
         raise RuntimeError("model has no fitted input normalization")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
+    check_settings(grid_size, max_degree)
     xs = np.linspace(0.0, np.pi, grid_size)
     edges = []
     divisors = []
@@ -290,14 +297,27 @@ def save_report(rep: InterpretReport, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# record name -> number of index tokens that key it (see data.read_records)
+_REPORT_ARITY = {"shape": 0, "settings": 0, "bias_flag": 0, "input": 1,
+                 "divisors": 1, "edge": 3, "dense": 0, "surrogate_rmse": 0,
+                 "model_rmse": 0}
+
+
 def load_report(path) -> InterpretReport:
     """Read a report file; raises ReportFormatError naming the line on
     anything malformed or not fitting the report's own ``shape``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [ln.rstrip("\n") for ln in fh]
+    def fail(no, msg, version=False):
+        raise ReportFormatError(f"{path}:{no}: {msg}")
 
-    def fail(no, msg):
-        raise ReportFormatError(f"{path}:{no + 1}: {msg}")
+    recs, end = read_records(path, "quirk-interpret", REPORT_FORMAT_VERSION,
+                             _REPORT_ARITY, fail)
+
+    def read(name, index, parse):
+        toks, no = recs[name][index]
+        try:
+            return parse(toks)
+        except (ValueError, IndexError) as exc:
+            fail(no, f"malformed {name!r} record: {exc}")
 
     def num(t):
         v = float(t)
@@ -305,116 +325,66 @@ def load_report(path) -> InterpretReport:
             raise ValueError(f"non-finite number {t!r}")
         return v
 
-    def put(rows, key, value, no):
-        if key in rows:
-            fail(no, f"duplicate record {key}, first on line {rows[key][1] + 1}")
-        rows[key] = (value, no)
+    def settings(toks):
+        grid, max_degree = int(toks[1]), int(toks[3])
+        check_settings(grid, max_degree)
+        return {"grid_size": grid, "max_degree": max_degree, "r2_target": num(toks[5])}
 
-    if not raw or not raw[0].startswith("quirk-interpret "):
-        fail(0, "missing quirk-interpret header")
-    if raw[0].split()[1] != REPORT_FORMAT_VERSION:
-        fail(0, f"unsupported report version {raw[0].split()[1]!r}; "
-                f"supported: {REPORT_FORMAT_VERSION}")
-    shape = None
-    shape_no = 0
-    # records keyed by their index, each with the line it came from
-    norm_rows = {}
-    divisors = {}
-    edges = {}
-    dense = None
-    bias_flag = 0
-    surrogate_rmse = None
-    model_rmse = None
-    settings = {"grid": DEFAULT_GRID_SIZE, "max_degree": DEFAULT_MAX_DEGREE,
-                "r2_target": DEFAULT_R2_TARGET}
-    saw_end = False
-    for no, line in enumerate(raw[1:], start=1):
-        if not line.strip():
-            continue
-        tok = line.split()
-        try:
-            if tok[0] == "shape":
-                shape, shape_no = tuple(int(t) for t in tok[1:]), no
-            elif tok[0] == "settings":
-                grid, max_degree = int(tok[2]), int(tok[4])
-                if not (0 <= max_degree < grid and grid >= 2):
-                    fail(no, f"grid {grid} and max_degree {max_degree} break "
-                             f"0 <= max_degree < grid, grid >= 2")
-                settings = {"grid": grid, "max_degree": max_degree,
-                            "r2_target": num(tok[6])}
-            elif tok[0] == "bias_flag":
-                bias_flag = int(tok[1])
-                if bias_flag not in (0, 1):
-                    fail(no, f"bias_flag must be 0 or 1, got {bias_flag}")
-            elif tok[0] == "input":
-                put(norm_rows, int(tok[1]), (num(tok[3]), num(tok[5])), no)
-            elif tok[0] == "divisors":
-                put(divisors, int(tok[1]), [num(t) for t in tok[2:]], no)
-            elif tok[0] == "edge":
-                eid = (int(tok[1]), int(tok[2]), int(tok[3]))
-                if tok[4] == "pruned":
-                    e = EdgeReport(eid, active=False, fit=None)
-                elif tok[4] == "active":
-                    degree = int(tok[6])
-                    r2 = num(tok[8])
-                    coeffs = np.array([num(t) for t in tok[10:]])
-                    if degree < 0 or coeffs.size != degree + 1:
-                        fail(no, f"degree {degree} needs {degree + 1} "
-                                 f"coefficients, found {coeffs.size}")
-                    e = EdgeReport(eid, active=True, fit=PolyFit(coeffs, degree, r2))
-                else:
-                    fail(no, f"edge state must be active|pruned, got {tok[4]!r}")
-                put(edges, eid, e, no)
-            elif tok[0] == "dense":
-                dense = None if tok[1] == "none" else (num(tok[2]), num(tok[4]))
-            elif tok[0] == "surrogate_rmse":
-                surrogate_rmse = num(tok[1])
-            elif tok[0] == "model_rmse":
-                model_rmse = num(tok[1])
-            elif tok[0] == "end":
-                saw_end = True
-                break
-            else:
-                fail(no, f"unknown record {tok[0]!r}")
-        except (ValueError, IndexError) as exc:
-            if isinstance(exc, ReportFormatError):
-                raise
-            fail(no, f"malformed {tok[0]!r} record: {exc}")
-    if not saw_end:
-        fail(len(raw) - 1, "missing end sentinel")
-    if shape is None or surrogate_rmse is None:
-        fail(len(raw) - 1, "incomplete report (shape/surrogate_rmse)")
+    def flag(toks):
+        if int(toks[0]) not in (0, 1):
+            raise ValueError(f"bias_flag must be 0 or 1, got {toks[0]}")
+        return int(toks[0])
+
+    def divisors(toks, units):
+        div = [num(t) for t in toks]
+        if len(div) != units:
+            raise ValueError(f"{units} unit(s) but {len(div)} divisor(s)")
+        if min(div) < 1.0:
+            raise ValueError(f"divisors must be >= 1, got {div}")
+        return div
+
+    def edge(toks):
+        if toks[0] == "pruned":
+            return None
+        if toks[0] != "active":
+            raise ValueError(f"edge state must be active|pruned, got {toks[0]!r}")
+        degree, coeffs = int(toks[2]), np.array([num(t) for t in toks[6:]])
+        if degree < 0 or coeffs.size != degree + 1:
+            raise ValueError(f"degree {degree} needs {degree + 1} coefficients, "
+                             f"found {coeffs.size}")
+        if degree > kw["max_degree"]:
+            raise ValueError(f"degree {degree} exceeds max_degree {kw['max_degree']}")
+        return PolyFit(coeffs, degree, num(toks[4]))
+
+    check_records(recs, {name: [()] for name in ("shape", "settings", "bias_flag",
+                                                  "dense", "surrogate_rmse")},
+                  "a report file", end, fail)
+    shape = read("shape", (), lambda t: tuple(int(x) for x in t))
     if len(shape) < 2 or min(shape) < 1 or shape[-1] != 1:
-        fail(shape_no, f"shape {list(shape)} is not a network ending in one unit")
+        fail(recs["shape"][()][1],
+             f"shape {list(shape)} is not a network ending in one unit")
+    kw = read("settings", (), settings)
     # every record the shape calls for, exactly once, and nothing else
-    want = {"input": (norm_rows, range(shape[0])),
-            "divisors": (divisors, range(len(shape) - 1)),
-            "edge": (edges, [(k, i, u) for k in range(len(shape) - 1)
-                             for i in range(shape[k]) for u in range(shape[k + 1])])}
-    for name, (rows, keys) in want.items():
-        for key, (_, no) in rows.items():
-            if key not in keys:
-                fail(no, f"{name} record {key} does not fit shape {list(shape)}")
-        for key in keys:
-            if key not in rows:
-                fail(shape_no, f"shape {list(shape)} needs {name} record {key}")
-    for k, (div, no) in divisors.items():
-        if len(div) != shape[k + 1]:
-            fail(no, f"layer {k} has {shape[k + 1]} unit(s) but {len(div)} divisor(s)")
-        if not all(d >= 1.0 for d in div):
-            fail(no, f"divisors must be >= 1, got {div}")
-    for e, no in edges.values():
-        if e.active and e.fit.degree > settings["max_degree"]:
-            fail(no, f"degree {e.fit.degree} exceeds max_degree "
-                     f"{settings['max_degree']}")
-    input_norm = np.array([norm_rows[f][0] for f in want["input"][1]])
-    div_list = [divisors[k][0] for k in want["divisors"][1]]
-    edge_list = [edges[eid][0] for eid in want["edge"][1]]
+    want = {"input": [(f,) for f in range(shape[0])],
+            "divisors": [(k,) for k in range(len(shape) - 1)],
+            "edge": [(k, i, u) for k in range(len(shape) - 1)
+                     for i in range(shape[k]) for u in range(shape[k + 1])]}
+    check_records(recs, want, f"shape {list(shape)}", end, fail)
+    fits = {eid: read("edge", eid, edge) for eid in want["edge"]}
     return InterpretReport(
-        shape=shape, input_norm=input_norm, edges=edge_list, divisors=div_list,
-        bias_flag=bias_flag, dense=dense, surrogate_rmse=surrogate_rmse,
-        model_rmse=model_rmse, grid_size=settings["grid"],
-        max_degree=settings["max_degree"], r2_target=settings["r2_target"])
+        shape=shape,
+        input_norm=np.array([read("input", f, lambda t: (num(t[1]), num(t[3])))
+                             for f in want["input"]]),
+        edges=[EdgeReport(eid, fit is not None, fit) for eid, fit in fits.items()],
+        divisors=[read("divisors", (k,), lambda t: divisors(t, shape[k + 1]))
+                  for (k,) in want["divisors"]],
+        bias_flag=read("bias_flag", (), flag),
+        dense=read("dense", (), lambda t: None if t[0] == "none"
+                   else (num(t[1]), num(t[3]))),
+        surrogate_rmse=read("surrogate_rmse", (), lambda t: num(t[0])),
+        model_rmse=(read("model_rmse", (), lambda t: num(t[0]))
+                    if recs["model_rmse"] else None),
+        **kw)
 
 
 def save_coeffs_csv(rep: InterpretReport, path) -> None:

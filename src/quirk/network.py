@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_records, read_records
 from .dr import DEFAULT_TEMPLATE, DRParams, GateTemplate, _check_capacity, _series
 
 
@@ -450,13 +451,13 @@ def _template_parse(s: str, lineno: int) -> GateTemplate:
         try:
             kind, source = part.split(":")
         except ValueError:
-            raise ModelFormatError(f"line {lineno}: bad template entry {part!r}")
+            _fail(lineno, f"bad template entry {part!r}")
         gates.append((kind, "input" if source == "input"
                       else _parse_int(source, lineno, "template")))
     try:
         return GateTemplate(tuple(gates))
     except ValueError as e:
-        raise ModelFormatError(f"line {lineno}: {e}")
+        _fail(lineno, str(e))
 
 
 def save_model(model: Model, path) -> None:
@@ -493,148 +494,99 @@ def save_model(model: Model, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _fail(lineno: int, msg: str, version: bool = False):
+    raise (ModelVersionError if version else ModelFormatError)(f"line {lineno}: {msg}")
+
+
 def _parse_float(tok: str, lineno: int) -> float:
     try:
-        return float.fromhex(tok)
+        v = float.fromhex(tok)
     except ValueError:
-        raise ModelFormatError(f"line {lineno}: bad float literal {tok!r}")
+        _fail(lineno, f"bad float literal {tok!r}")
+    if not np.isfinite(v):
+        _fail(lineno, f"non-finite number {tok!r}")
+    return v
 
 
 def _parse_int(tok: str, lineno: int, field: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ModelFormatError(f"line {lineno}: field {field}: not an integer: {tok!r}")
+        _fail(lineno, f"field {field}: not an integer: {tok!r}")
+
+
+# record name -> number of index tokens that key it (see data.read_records)
+_MODEL_ARITY = {"template": 0, "input_dim": 0, "dense_head": 0, "bias_flag": 0,
+                "seed": 0, "layers": 0, "layer": 1, "edge": 3, "norm": 1, "dense": 0}
+_HEADER_INTS = ("input_dim", "dense_head", "bias_flag", "seed", "layers")
+_LAYER_FIELDS = ("fan_in", "units", "dr_layers", "qubits_per_edge", "entangle")
 
 
 def load_model(path) -> Model:
     """Read a model file; raises ModelVersionError / ModelFormatError with
     line context on anything malformed."""
-    with open(path) as fh:
-        raw = fh.readlines()
-    lines = [(no + 1, ln.strip()) for no, ln in enumerate(raw)
-             if ln.strip() and not ln.strip().startswith("#")]
-    if not lines:
-        raise ModelFormatError("empty model file")
-    lineno, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "quirk-model":
-        raise ModelFormatError(f"line {lineno}: expected 'quirk-model <version>' header")
-    if parts[1] != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"line {lineno}: unsupported model format {parts[1]!r}; "
-            f"this library reads: {MODEL_FORMAT_VERSION}")
+    recs, end = read_records(path, "quirk-model", MODEL_FORMAT_VERSION,
+                             _MODEL_ARITY, _fail)
 
-    fields = {}
-    layer_rows = {}
-    edges = {}
-    norm_rows = {}
-    norm_unfitted = False
-    dense = None
-    saw_end = False
-    for lineno, ln in lines[1:]:
-        toks = ln.split()
-        key = toks[0]
-        if key == "end":
-            saw_end = True
-            continue
-        if key in ("template", "input_dim", "dense_head", "bias_flag", "seed",
-                   "layers"):
-            if len(toks) != 2:
-                raise ModelFormatError(f"line {lineno}: field {key} takes one value")
-            fields[key] = (_template_parse(toks[1], lineno) if key == "template"
-                           else _parse_int(toks[1], lineno, key))
-        elif key == "layer":
-            if len(toks) != 12:
-                raise ModelFormatError(f"line {lineno}: malformed layer row")
-            idx = _parse_int(toks[1], lineno, "layer index")
-            kv = dict(zip(toks[2::2], toks[3::2]))
-            want = ("fan_in", "units", "dr_layers", "qubits_per_edge", "entangle")
-            if set(kv) != set(want):
-                raise ModelFormatError(
-                    f"line {lineno}: layer row needs fields {want}")
-            layer_rows[idx] = {k: _parse_int(v, lineno, k) for k, v in kv.items()}
-        elif key == "edge":
-            if len(toks) < 6:
-                raise ModelFormatError(f"line {lineno}: malformed edge row")
-            k = _parse_int(toks[1], lineno, "edge layer")
-            i = _parse_int(toks[2], lineno, "edge input")
-            u = _parse_int(toks[3], lineno, "edge unit")
-            act = _parse_int(toks[4], lineno, "edge active")
-            vals = [_parse_float(t, lineno) for t in toks[5:]]
-            edges[(k, i, u)] = (act, vals, lineno)
-        elif key == "norm":
-            if toks[1:] == ["unfitted"]:
-                norm_unfitted = True
-            elif len(toks) == 4:
-                i = _parse_int(toks[1], lineno, "norm index")
-                norm_rows[i] = (_parse_float(toks[2], lineno),
-                                _parse_float(toks[3], lineno))
-            else:
-                raise ModelFormatError(f"line {lineno}: malformed norm row")
-        elif key == "dense":
-            if len(toks) != 3:
-                raise ModelFormatError(f"line {lineno}: malformed dense row")
-            dense = (_parse_float(toks[1], lineno), _parse_float(toks[2], lineno))
-        else:
-            raise ModelFormatError(f"line {lineno}: unknown record {key!r}")
+    def values(name, index, count):
+        toks, no = recs[name][index]
+        if len(toks) != count:
+            _fail(no, f"{name} record takes {count} value(s), got {len(toks)}")
+        return toks, no
 
-    if not saw_end:
-        raise ModelFormatError("truncated model file: missing 'end' marker")
-    for need in ("template", "input_dim", "dense_head", "bias_flag", "seed", "layers"):
-        if need not in fields:
-            raise ModelFormatError(f"missing header field {need!r}")
-    n_layers = fields["layers"]
-    if sorted(layer_rows) != list(range(n_layers)):
-        raise ModelFormatError(
-            f"expected layer rows 0..{n_layers - 1}, got {sorted(layer_rows)}")
+    def floats(name, index, count):
+        toks, no = values(name, index, count)
+        return [_parse_float(t, no) for t in toks]
+
+    check_records(recs, {name: [()] for name in ("template", "dense") + _HEADER_INTS},
+                  "a model file", end, _fail)
+    toks, no = values("template", (), 1)
+    template = _template_parse(toks[0], no)
+    head = {}
+    for name in _HEADER_INTS:
+        toks, no = values(name, (), 1)
+        head[name] = _parse_int(toks[0], no, name)
+    n_layers = head["layers"]
+    check_records(recs, {"layer": [(k,) for k in range(n_layers)]}, f"layers {n_layers}",
+                  end, _fail)
+    rows = []
+    for k in range(n_layers):
+        toks, no = values("layer", (k,), 2 * len(_LAYER_FIELDS))
+        kv = dict(zip(toks[::2], toks[1::2]))
+        if set(kv) != set(_LAYER_FIELDS):
+            _fail(no, f"layer row needs fields {_LAYER_FIELDS}")
+        rows.append({f: _parse_int(kv[f], no, f) for f in _LAYER_FIELDS})
     try:
-        layers = tuple(
-            LayerSpec(fan_in=layer_rows[k]["fan_in"], units=layer_rows[k]["units"],
-                      dr_layers=layer_rows[k]["dr_layers"],
-                      qubits_per_edge=layer_rows[k]["qubits_per_edge"],
-                      entangle=bool(layer_rows[k]["entangle"]))
-            for k in range(n_layers))
-        spec = NetworkSpec(input_dim=fields["input_dim"], layers=layers,
-                           dense_head=bool(fields["dense_head"]),
-                           bias_flag=fields["bias_flag"], seed=fields["seed"],
-                           template=fields["template"])
+        layers = tuple(LayerSpec(**row | {"entangle": bool(row["entangle"])})
+                       for row in rows)
+        spec = NetworkSpec(input_dim=head["input_dim"], layers=layers,
+                           dense_head=bool(head["dense_head"]),
+                           bias_flag=head["bias_flag"], seed=head["seed"],
+                           template=template)
     except ValueError as e:
         raise ModelFormatError(f"inconsistent architecture: {e}")
 
+    unfitted = ("unfitted",) in recs["norm"]
+    want = {"edge": [(k, i, u) for k, layer in enumerate(layers)
+                     for i in range(layer.fan_in) for u in range(layer.units)],
+            "norm": [("unfitted",)] if unfitted else [(i,) for i in range(spec.input_dim)]}
+    check_records(recs, want, "the architecture", end, _fail)
     P = spec.template.params_per_layer
     thetas = [np.zeros(_theta_shape(layer, P)) for layer in layers]
     active = [np.ones((layer.fan_in, layer.units), dtype=bool) for layer in layers]
-    for k, layer in enumerate(layers):
-        per_edge = thetas[k][:, 0, 0].size
-        for i in range(layer.fan_in):
-            for u in range(layer.units):
-                if (k, i, u) not in edges:
-                    raise ModelFormatError(f"missing edge record ({k}, {i}, {u})")
-                act, vals, lineno = edges.pop((k, i, u))
-                if len(vals) != per_edge:
-                    raise ModelFormatError(
-                        f"line {lineno}: edge ({k}, {i}, {u}) carries {len(vals)} "
-                        f"angles, expected {per_edge}")
-                thetas[k][:, i, u] = np.asarray(vals).reshape(thetas[k][:, i, u].shape)
-                active[k][i, u] = bool(act)
-    if edges:
-        extra = sorted(edges)[0]
-        raise ModelFormatError(f"edge record {extra} does not fit the architecture")
-
-    if norm_unfitted and norm_rows:
-        raise ModelFormatError("norm rows present alongside 'norm unfitted'")
-    if norm_unfitted:
+    for k, i, u in want["edge"]:
+        angles = thetas[k][:, i, u]  # a view
+        toks, no = values("edge", (k, i, u), angles.size + 1)
+        active[k][i, u] = bool(_parse_int(toks[0], no, "edge active"))
+        angles[...] = np.reshape([_parse_float(t, no) for t in toks[1:]], angles.shape)
+    if unfitted:
+        values("norm", ("unfitted",), 0)
         input_norm = None
     else:
-        if sorted(norm_rows) != list(range(spec.input_dim)):
-            raise ModelFormatError(
-                f"expected norm rows 0..{spec.input_dim - 1}, got {sorted(norm_rows)}")
-        input_norm = np.array([norm_rows[i] for i in range(spec.input_dim)])
-    if dense is None:
-        raise ModelFormatError("missing dense row")
+        input_norm = np.array([floats("norm", (i,), 2) for i in range(spec.input_dim)])
+    dense_w, dense_b = floats("dense", (), 2)
     try:
         return Model(spec=spec, thetas=thetas, edge_active=active,
-                     dense_w=dense[0], dense_b=dense[1], input_norm=input_norm)
+                     dense_w=dense_w, dense_b=dense_b, input_norm=input_norm)
     except ValueError as e:
         raise ModelFormatError(str(e))

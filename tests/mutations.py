@@ -9,7 +9,8 @@ TOKENS = ("x", "-1", "99", "nan", "1.5", "ry:abc", "zz:0")
 
 def mutations(text: str):
     """Yield (label, mutated text): each line cut after each of its tokens,
-    each token replaced by each of TOKENS, and each line dropped."""
+    each token replaced by each of TOKENS, and each line dropped and
+    duplicated."""
     lines = text.splitlines()
     for n, line in enumerate(lines):
         toks = line.split()
@@ -23,6 +24,7 @@ def mutations(text: str):
                 yield (f"line {n + 1} token {k} -> {t}",
                        with_line([" ".join(toks[:k] + [t] + toks[k + 1:])]))
         yield f"line {n + 1} dropped", with_line([])
+        yield f"line {n + 1} duplicated", with_line([line, line])
 
 
 def escapes(path, load, allowed) -> list:

@@ -80,6 +80,9 @@ class TestForward:
             a = dr_forward_batch(x, p, clamp=False)
             b = dr_forward_batch(x + 4 * np.pi, p, clamp=False)
             assert a == pytest.approx(b, abs=1e-12)
+            # integer frequencies up to K: the period is already 2 pi
+            c = dr_forward_batch(x + 2 * np.pi, p, clamp=False)
+            assert a == pytest.approx(c, abs=1e-12)
 
     def test_determinism(self):
         a = random_params(7, L=4)

@@ -343,6 +343,41 @@ class TestReport:
                            match=r"report\.txt:\d+: .*" + match):
             interpret.load_report(p)
 
+    @pytest.mark.parametrize("record", ["quirk-interpret", "shape", "settings",
+                                        "bias_flag", "input 1", "divisors 0",
+                                        "dense", "surrogate_rmse", "end"])
+    def test_duplicate_or_trailing_record_names_its_line(self, tmp_path, record):
+        p = self.saved_dense_head_report(tmp_path)
+        lines = p.read_text().splitlines()
+        at = next(n for n, ln in enumerate(lines) if ln.split()[0] == record
+                  or ln.startswith(record + " "))
+        lines.insert(at + 1, lines[at])
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(interpret.ReportFormatError,
+                           match=rf"report\.txt:{at + 2}: "):
+            interpret.load_report(p)
+
+    def test_blank_lines_and_comments_skipped(self, tmp_path):
+        p = self.saved_dense_head_report(tmp_path)
+        want = interpret.load_report(p)
+        lines = p.read_text().splitlines()
+        p.write_text("# a report\n\n" + "\n  # note\n".join(lines) + "\n")
+        got = interpret.load_report(p)
+        assert (got.shape, got.divisors, got.dense, got.surrogate_rmse) == (
+            want.shape, want.divisors, want.dense, want.surrogate_rmse)
+        for a, b in zip(got.edges, want.edges):
+            assert a.edge_id == b.edge_id and a.active == b.active
+            if a.active:
+                npt.assert_array_equal(a.fit.coefficients, b.fit.coefficients)
+
+    def test_record_after_end_rejected(self, tmp_path):
+        p = self.saved_dense_head_report(tmp_path)
+        n = len(p.read_text().splitlines())
+        p.write_text(p.read_text() + "model_rmse 0.5\n")
+        with pytest.raises(interpret.ReportFormatError,
+                           match=rf"report\.txt:{n + 1}: record after 'end'"):
+            interpret.load_report(p)
+
     @pytest.mark.parametrize("record,index,value", [
         ("settings", 6, "nan"),
         ("input", 3, "inf"),
@@ -433,6 +468,17 @@ class TestReport:
             if a.active:
                 npt.assert_array_equal(a.fit.coefficients, b.fit.coefficients)
                 assert (a.fit.degree, a.fit.r_squared) == (b.fit.degree, b.fit.r_squared)
+
+    def test_report_checks_settings_before_fitting(self, monkeypatch):
+        m = readout_models()[2]
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("report() fitted with settings it must reject")
+
+        monkeypatch.setattr(interpret, "fit_poly", no_fit)
+        with pytest.raises(ValueError, match="grid 5 and max_degree 6"):
+            interpret.report(m, plain_dataset(m.spec.input_dim), grid_size=5,
+                             max_degree=6)
 
     def test_report_grid_size_below_two_rejected(self):
         m = readout_models()[2]

@@ -357,8 +357,38 @@ class TestSerialization:
             toks[field] = bad
             lines[at] = " ".join(toks)
             p.write_text("\n".join(lines) + "\n")
-            with pytest.raises(ModelFormatError, match="finite"):
+            with pytest.raises(ModelFormatError, match=rf"line {at + 1}: .*finite"):
                 load_model(p)
+
+    @pytest.mark.parametrize("record", ["edge", "dense", "norm", "quirk-model",
+                                        "template", "layers", "layer", "end"])
+    def test_duplicate_or_trailing_record_names_its_line(self, tmp_path, record):
+        # a second copy of any record, or anything after 'end', is an error
+        # at the second line, never a silent last-value-wins
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 2, 1), dr_layers=1, dense=True), p)
+        lines = p.read_text().splitlines()
+        at = next(i for i, ln in enumerate(lines) if ln.split()[0] == record)
+        lines.insert(at + 1, lines[at])
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf"^line {at + 2}: "):
+            load_model(p)
+
+    def test_record_after_end_rejected(self, tmp_path):
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 1), dr_layers=1), p)
+        n = len(p.read_text().splitlines())
+        p.write_text(p.read_text() + "\n# trailing comment\nseed 7\n")
+        with pytest.raises(ModelFormatError, match=rf"^line {n + 3}: record after 'end'"):
+            load_model(p)
+
+    def test_blank_lines_and_comments_skipped(self, tmp_path):
+        m = small_model((2, 1), dr_layers=1)
+        p = tmp_path / "m.txt"
+        save_model(m, p)
+        lines = p.read_text().splitlines()
+        p.write_text("# a model\n\n" + "\n\n".join(lines) + "\n")
+        npt.assert_array_equal(load_model(p).thetas[0], m.thetas[0])
 
     def test_missing_end_sentinel(self, tmp_path):
         p = tmp_path / "m.txt"
