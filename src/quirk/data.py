@@ -458,6 +458,28 @@ def check_records(records, want: dict, where: str, no: int, fail) -> None:
                 fail(no, f"{where} needs {_label(name, index)}")
 
 
+def read_record(records, name: str, index: tuple, parse, fail):
+    """``parse(tokens)`` of one record of ``read_records``.  Every check on
+    file content belongs in ``parse``: a ValueError, IndexError or
+    OverflowError it raises becomes ``fail`` at the record's line."""
+    toks, no = records[name][index]
+    try:
+        return parse(toks)
+    except (ValueError, IndexError, OverflowError) as exc:
+        fail(no, f"malformed {name} record: {exc}")
+
+
+def finite(tok: str, parse=float) -> float:
+    """``parse(tok)``; a ValueError unless it is a finite number."""
+    try:
+        v = parse(tok)
+    except ValueError:
+        raise ValueError(f"not a number: {tok!r}") from None
+    if not np.isfinite(v):
+        raise ValueError(f"non-finite number {tok!r}")
+    return v
+
+
 def save_csv(dataset: Dataset, path) -> None:
     """Write a dataset as x1,...,xn,y (split indices are not stored)."""
     n_in = dataset.input_dim

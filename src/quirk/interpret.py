@@ -18,6 +18,7 @@ features to x in [0, pi] first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ from numpy.polynomial import chebyshev as _cheb
 from .dr import dr_forward_batch
 from .network import (Model, _layer_eval, _unit_divisors, apply_input_norm,
                       network_forward, rescale)
-from .data import check_records, read_records, write_csv_rows
+from .data import check_records, finite, read_record, read_records, write_csv_rows
 
 DEFAULT_GRID_SIZE = 257
 DEFAULT_MAX_DEGREE = 6
@@ -180,6 +181,8 @@ def surrogate_forward(report: InterpretReport, raw_input) -> np.ndarray:
     X = np.atleast_2d(np.asarray(raw_input, dtype=np.float64))
     if X.shape[1] != len(report.input_norm):
         raise ValueError(f"expected {len(report.input_norm)} features")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
     polys = {e.edge_id: e.fit for e in report.edges if e.active}
     h = apply_input_norm(np.asarray(report.input_norm), X)
     n_layers = len(report.divisors)
@@ -227,7 +230,7 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
     divisors = []
     for k, layer in enumerate(model.spec.layers):
         active = model.edge_active[k]
-        divisors.append(_unit_divisors(layer, active).tolist())
+        divisors.append(_unit_divisors(active).tolist())
         f = _layer_eval(np.repeat(xs[:, None], layer.fan_in, axis=1), layer,
                         model.thetas[k], active, model.spec.template,
                         want_grads=False)[1]
@@ -312,35 +315,33 @@ def load_report(path) -> InterpretReport:
     recs, end = read_records(path, "quirk-interpret", REPORT_FORMAT_VERSION,
                              _REPORT_ARITY, fail)
 
-    def read(name, index, parse):
-        toks, no = recs[name][index]
-        try:
-            return parse(toks)
-        except (ValueError, IndexError) as exc:
-            fail(no, f"malformed {name!r} record: {exc}")
+    read = partial(read_record, recs, fail=fail)
 
-    def num(t):
-        v = float(t)
-        if not np.isfinite(v):
-            raise ValueError(f"non-finite number {t!r}")
-        return v
+    def network(toks):
+        shape = tuple(int(t) for t in toks)
+        if len(shape) < 2 or min(shape) < 1 or shape[-1] != 1:
+            raise ValueError(f"shape {list(shape)} is not a network ending in one unit")
+        return shape
 
     def settings(toks):
         grid, max_degree = int(toks[1]), int(toks[3])
         check_settings(grid, max_degree)
-        return {"grid_size": grid, "max_degree": max_degree, "r2_target": num(toks[5])}
+        return {"grid_size": grid, "max_degree": max_degree, "r2_target": finite(toks[5])}
 
     def flag(toks):
         if int(toks[0]) not in (0, 1):
             raise ValueError(f"bias_flag must be 0 or 1, got {toks[0]}")
         return int(toks[0])
 
-    def divisors(toks, units):
-        div = [num(t) for t in toks]
-        if len(div) != units:
-            raise ValueError(f"{units} unit(s) but {len(div)} divisor(s)")
-        if min(div) < 1.0:
-            raise ValueError(f"divisors must be >= 1, got {div}")
+    def divisors(toks, k):
+        # each unit divides by its live incoming edges, at least 1
+        div = [finite(t) for t in toks]
+        live = _unit_divisors(np.array([[fits[k, i, u] is not None
+                                         for u in range(shape[k + 1])]
+                                        for i in range(shape[k])])).tolist()
+        if div != live:
+            raise ValueError(f"divisors {div} do not match the live edges, "
+                             f"which give {live}")
         return div
 
     def edge(toks):
@@ -348,21 +349,18 @@ def load_report(path) -> InterpretReport:
             return None
         if toks[0] != "active":
             raise ValueError(f"edge state must be active|pruned, got {toks[0]!r}")
-        degree, coeffs = int(toks[2]), np.array([num(t) for t in toks[6:]])
+        degree, coeffs = int(toks[2]), np.array([finite(t) for t in toks[6:]])
         if degree < 0 or coeffs.size != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, "
                              f"found {coeffs.size}")
         if degree > kw["max_degree"]:
             raise ValueError(f"degree {degree} exceeds max_degree {kw['max_degree']}")
-        return PolyFit(coeffs, degree, num(toks[4]))
+        return PolyFit(coeffs, degree, finite(toks[4]))
 
     check_records(recs, {name: [()] for name in ("shape", "settings", "bias_flag",
                                                   "dense", "surrogate_rmse")},
                   "a report file", end, fail)
-    shape = read("shape", (), lambda t: tuple(int(x) for x in t))
-    if len(shape) < 2 or min(shape) < 1 or shape[-1] != 1:
-        fail(recs["shape"][()][1],
-             f"shape {list(shape)} is not a network ending in one unit")
+    shape = read("shape", (), network)
     kw = read("settings", (), settings)
     # every record the shape calls for, exactly once, and nothing else
     want = {"input": [(f,) for f in range(shape[0])],
@@ -373,16 +371,16 @@ def load_report(path) -> InterpretReport:
     fits = {eid: read("edge", eid, edge) for eid in want["edge"]}
     return InterpretReport(
         shape=shape,
-        input_norm=np.array([read("input", f, lambda t: (num(t[1]), num(t[3])))
+        input_norm=np.array([read("input", f, lambda t: (finite(t[1]), finite(t[3])))
                              for f in want["input"]]),
         edges=[EdgeReport(eid, fit is not None, fit) for eid, fit in fits.items()],
-        divisors=[read("divisors", (k,), lambda t: divisors(t, shape[k + 1]))
+        divisors=[read("divisors", (k,), lambda t: divisors(t, k))
                   for (k,) in want["divisors"]],
         bias_flag=read("bias_flag", (), flag),
         dense=read("dense", (), lambda t: None if t[0] == "none"
-                   else (num(t[1]), num(t[3]))),
-        surrogate_rmse=read("surrogate_rmse", (), lambda t: num(t[0])),
-        model_rmse=(read("model_rmse", (), lambda t: num(t[0]))
+                   else (finite(t[1]), finite(t[3]))),
+        surrogate_rmse=read("surrogate_rmse", (), lambda t: finite(t[0])),
+        model_rmse=(read("model_rmse", (), lambda t: finite(t[0]))
                     if recs["model_rmse"] else None),
         **kw)
 

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .data import check_records, read_records
+from .data import check_records, finite, read_record, read_records
 from .dr import DEFAULT_TEMPLATE, DRParams, GateTemplate, _check_capacity, _series
 
 
@@ -245,7 +246,7 @@ def rescale(values, fan_in, b: int = 0):
     return ((values / cap) + (1 - b)) / 2.0 * np.pi
 
 
-def _unit_divisors(layer: LayerSpec, active: np.ndarray) -> np.ndarray:
+def _unit_divisors(active: np.ndarray) -> np.ndarray:
     # per-unit effective fan-in; dead units (no live edges) get 1 to avoid
     # 0/0 -- their output is unused because downstream edges are also pruned
     counts = active.sum(axis=0).astype(np.float64)
@@ -345,7 +346,7 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
                                         model.spec.template, want_grads)
         caches.append({"v": v, "f": f, "basis": basis, "c": c, "J": J})
         if k < n_layers - 1:
-            div = _unit_divisors(layer, model.edge_active[k])
+            div = _unit_divisors(model.edge_active[k])
             caches[-1]["div"] = div
             h = rescale(v, div, b=model.spec.bias_flag)
             # clip only binds when bias_flag = 1; clipped entries are flat,
@@ -445,19 +446,13 @@ def _template_str(t: GateTemplate) -> str:
     return ",".join(f"{kind}:{source}" for kind, source in t.gates)
 
 
-def _template_parse(s: str, lineno: int) -> GateTemplate:
-    gates = []
-    for part in s.split(","):
-        try:
-            kind, source = part.split(":")
-        except ValueError:
-            _fail(lineno, f"bad template entry {part!r}")
-        gates.append((kind, "input" if source == "input"
-                      else _parse_int(source, lineno, "template")))
-    try:
-        return GateTemplate(tuple(gates))
-    except ValueError as e:
-        _fail(lineno, str(e))
+def _template_parse(toks) -> GateTemplate:
+    (text,) = toks
+    gates = [part.split(":") for part in text.split(",")]
+    if any(len(g) != 2 for g in gates):
+        raise ValueError(f"bad template {text!r}; expected kind:source,...")
+    return GateTemplate(tuple((kind, source if source == "input" else int(source))
+                              for kind, source in gates))
 
 
 def save_model(model: Model, path) -> None:
@@ -498,95 +493,78 @@ def _fail(lineno: int, msg: str, version: bool = False):
     raise (ModelVersionError if version else ModelFormatError)(f"line {lineno}: {msg}")
 
 
-def _parse_float(tok: str, lineno: int) -> float:
-    try:
-        v = float.fromhex(tok)
-    except ValueError:
-        _fail(lineno, f"bad float literal {tok!r}")
-    if not np.isfinite(v):
-        _fail(lineno, f"non-finite number {tok!r}")
-    return v
+def _int(toks) -> int:
+    (tok,) = toks
+    return int(tok)
 
 
-def _parse_int(tok: str, lineno: int, field: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        _fail(lineno, f"field {field}: not an integer: {tok!r}")
+def _hexes(toks, shape) -> np.ndarray:
+    if len(toks) != np.prod(shape):
+        raise ValueError(f"needs {np.prod(shape)} number(s), got {len(toks)}")
+    return np.reshape([finite(t, float.fromhex) for t in toks], shape)
+
+
+def _layer(toks) -> LayerSpec:
+    kv = dict(zip(toks[::2], toks[1::2]))
+    if len(toks) != 2 * len(_LAYER_FIELDS) or set(kv) != set(_LAYER_FIELDS):
+        raise ValueError(f"needs fields {_LAYER_FIELDS}")
+    row = {f: int(kv[f]) for f in _LAYER_FIELDS}
+    return LayerSpec(**row | {"entangle": bool(row["entangle"])})
+
+
+def _norm(toks) -> np.ndarray:
+    row = _hexes(toks, 2)
+    if not row[0] < row[1]:
+        raise ValueError(f"min {toks[0]} must be below max {toks[1]}")
+    return row
 
 
 # record name -> number of index tokens that key it (see data.read_records)
 _MODEL_ARITY = {"template": 0, "input_dim": 0, "dense_head": 0, "bias_flag": 0,
                 "seed": 0, "layers": 0, "layer": 1, "edge": 3, "norm": 1, "dense": 0}
-_HEADER_INTS = ("input_dim", "dense_head", "bias_flag", "seed", "layers")
 _LAYER_FIELDS = ("fan_in", "units", "dr_layers", "qubits_per_edge", "entangle")
 
 
 def load_model(path) -> Model:
-    """Read a model file; raises ModelVersionError / ModelFormatError with
-    line context on anything malformed."""
+    """Read a model file; raises ModelVersionError / ModelFormatError naming
+    the line on anything malformed.  Each record is checked as it is parsed,
+    so a value a constructor rejects fails at its own line too."""
     recs, end = read_records(path, "quirk-model", MODEL_FORMAT_VERSION,
                              _MODEL_ARITY, _fail)
 
-    def values(name, index, count):
-        toks, no = recs[name][index]
-        if len(toks) != count:
-            _fail(no, f"{name} record takes {count} value(s), got {len(toks)}")
-        return toks, no
+    read = partial(read_record, recs, fail=_fail)
 
-    def floats(name, index, count):
-        toks, no = values(name, index, count)
-        return [_parse_float(t, no) for t in toks]
-
-    check_records(recs, {name: [()] for name in ("template", "dense") + _HEADER_INTS},
+    check_records(recs, {name: [()] for name, n in _MODEL_ARITY.items() if n == 0},
                   "a model file", end, _fail)
-    toks, no = values("template", (), 1)
-    template = _template_parse(toks[0], no)
-    head = {}
-    for name in _HEADER_INTS:
-        toks, no = values(name, (), 1)
-        head[name] = _parse_int(toks[0], no, name)
-    n_layers = head["layers"]
+    template = read("template", (), _template_parse)
+    input_dim, dense_head, bias_flag, seed, n_layers = (
+        read(name, (), _int)
+        for name in ("input_dim", "dense_head", "bias_flag", "seed", "layers"))
     check_records(recs, {"layer": [(k,) for k in range(n_layers)]}, f"layers {n_layers}",
                   end, _fail)
-    rows = []
-    for k in range(n_layers):
-        toks, no = values("layer", (k,), 2 * len(_LAYER_FIELDS))
-        kv = dict(zip(toks[::2], toks[1::2]))
-        if set(kv) != set(_LAYER_FIELDS):
-            _fail(no, f"layer row needs fields {_LAYER_FIELDS}")
-        rows.append({f: _parse_int(kv[f], no, f) for f in _LAYER_FIELDS})
-    try:
-        layers = tuple(LayerSpec(**row | {"entangle": bool(row["entangle"])})
-                       for row in rows)
-        spec = NetworkSpec(input_dim=head["input_dim"], layers=layers,
-                           dense_head=bool(head["dense_head"]),
-                           bias_flag=head["bias_flag"], seed=head["seed"],
-                           template=template)
-    except ValueError as e:
-        raise ModelFormatError(f"inconsistent architecture: {e}")
+    layers = [read("layer", (k,), _layer) for k in range(n_layers)]
+    # the architecture's own rules (the layer chain, one final unit,
+    # bias_flag, input_dim) fail at the layers record
+    spec = read("layers", (), lambda _: NetworkSpec(
+        input_dim, layers, bool(dense_head), bias_flag, seed, template))
 
     unfitted = ("unfitted",) in recs["norm"]
     want = {"edge": [(k, i, u) for k, layer in enumerate(layers)
                      for i in range(layer.fan_in) for u in range(layer.units)],
             "norm": [("unfitted",)] if unfitted else [(i,) for i in range(spec.input_dim)]}
     check_records(recs, want, "the architecture", end, _fail)
-    P = spec.template.params_per_layer
+    P = template.params_per_layer
     thetas = [np.zeros(_theta_shape(layer, P)) for layer in layers]
     active = [np.ones((layer.fan_in, layer.units), dtype=bool) for layer in layers]
     for k, i, u in want["edge"]:
         angles = thetas[k][:, i, u]  # a view
-        toks, no = values("edge", (k, i, u), angles.size + 1)
-        active[k][i, u] = bool(_parse_int(toks[0], no, "edge active"))
-        angles[...] = np.reshape([_parse_float(t, no) for t in toks[1:]], angles.shape)
+        active[k][i, u], angles[...] = read(
+            "edge", (k, i, u), lambda t: (bool(int(t[0])), _hexes(t[1:], angles.shape)))
     if unfitted:
-        values("norm", ("unfitted",), 0)
+        read("norm", ("unfitted",), lambda t: _hexes(t, 0))
         input_norm = None
     else:
-        input_norm = np.array([floats("norm", (i,), 2) for i in range(spec.input_dim)])
-    dense_w, dense_b = floats("dense", (), 2)
-    try:
-        return Model(spec=spec, thetas=thetas, edge_active=active,
-                     dense_w=dense_w, dense_b=dense_b, input_norm=input_norm)
-    except ValueError as e:
-        raise ModelFormatError(str(e))
+        input_norm = np.array([read("norm", (i,), _norm) for i in range(spec.input_dim)])
+    dense_w, dense_b = read("dense", (), lambda t: _hexes(t, 2))
+    return Model(spec=spec, thetas=thetas, edge_active=active,
+                 dense_w=float(dense_w), dense_b=float(dense_b), input_norm=input_norm)

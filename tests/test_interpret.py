@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -309,10 +310,13 @@ class TestReport:
                 (k, i, u) for k in range(len(shape) - 1)
                 for i in range(shape[k]) for u in range(shape[k + 1])]
 
-        assert escapes(p, load_consistent, interpret.ReportFormatError) == []
+        assert escapes(p, load_consistent, interpret.ReportFormatError,
+                       prefix=re.escape(str(p)) + r":\d+: ") == []
 
     @pytest.mark.parametrize("old,new,match", [
         ("divisors 1 ", None, "divisors record 1"),
+        ("divisors 0 1.0 2.0", "divisors 0 2.0 2.0", "do not match the live edges"),
+        ("divisors 0 1.0 2.0", "divisors 0 1.0", "do not match the live edges"),
         ("edge 1 1 0 ", None, r"edge record \(1, 1, 0\)"),
         ("edge 0 0 1 ", None, r"edge record \(0, 0, 1\)"),
         ("edge 0 0 0 ", "edge 7 0 0 ", r"\(7, 0, 0\) does not fit"),
@@ -428,6 +432,15 @@ class TestReport:
         assert not e.active and e.fit is None
         # surrogate must also skip it
         assert interpret.surrogate_forward(rep, Plain.X).shape == (30,)
+
+    def test_surrogate_rejects_non_finite_features(self):
+        m = theta_zero_model([2, 1])
+        rep = interpret.report(m, plain_dataset(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="features must be finite"):
+                interpret.surrogate_forward(rep, [[bad, 2.0]])
+            with pytest.raises(ValueError, match="features must be finite"):
+                network_forward([[bad, 2.0]], m)
 
     @pytest.mark.parametrize("index", range(3))
     def test_report_matches_circuit_readout(self, index):

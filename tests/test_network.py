@@ -402,7 +402,38 @@ class TestSerialization:
         m = small_model((2, 2, 1), dr_layers=3, dense=True)
         m.edge_active[0][1, 0] = False
         save_model(m, p)
-        assert escapes(p, load_model, ModelFormatError) == []
+        assert escapes(p, load_model, ModelFormatError, prefix=r"line \d+: ") == []
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("input_dim 2", "input_dim 3", "fan_in=2 does not match previous width 3"),
+        ("norm 1 ", None, "min .* must be below max"),
+        ("layer 1 fan_in 2 units 1", "layer 1 fan_in 2 units 2", "exactly one unit"),
+        ("bias_flag 0", "bias_flag 2", "bias_flag must be 0 or 1"),
+        ("layer 0 fan_in 2 units 2 dr_layers 1 qubits_per_edge 1",
+         "layer 0 fan_in 2 units 2 dr_layers 1 qubits_per_edge 0", "qubits_per_edge must be"),
+    ])
+    def test_value_a_constructor_rejects_names_its_line(self, tmp_path, old, new, match):
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 2, 1), dr_layers=1, dense=True), p)
+        lines = p.read_text().splitlines()
+        at = next(n for n, ln in enumerate(lines) if ln.startswith(old))
+        if new is None:  # swap the norm row's min and max
+            name, i, lo, hi = lines[at].split()
+            lines[at] = f"{name} {i} {hi} {lo}"
+        else:
+            lines[at] = new + lines[at][len(old):]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf"^line \d+: .*{match}"):
+            load_model(p)
+
+    def test_hex_overflow_names_its_line(self, tmp_path):
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 1), dr_layers=1, dense=True), p)
+        lines = p.read_text().splitlines()
+        lines[-2] = "dense 0x1p99999 0x0p+0"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=rf"^line {len(lines) - 1}: .*too large"):
+            load_model(p)
 
 
 # --- network-level property test --------------------------------------------
