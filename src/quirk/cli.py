@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bspline, interpret, svgplot
 from .data import (CSVFormatError, EQUATIONS, UNIVARIATE_ALIASES,
-                   UNIVARIATE_TARGETS, DEFAULT_UNIVARIATE_RANGE, Dataset,
+                   UNIVARIATE_TARGETS, DEFAULT_UNIVARIATE_RANGE, Dataset, finite,
                    generate, generate_univariate, read_csv_rows,
                    resolve_univariate, target_scale, write_csv_rows)
 from .dr import DEFAULT_TEMPLATE, SU2_TEMPLATE
@@ -40,13 +40,6 @@ class ConfigError(Exception):
 
 
 # --- config parsing ---------------------------------------------------------
-
-
-def _p_float(v):
-    x = float(v)
-    if not np.isfinite(x):
-        raise ValueError(f"not a finite number: {v.strip()!r}")
-    return x
 
 
 def _p_min(lo, kind=int):
@@ -101,8 +94,8 @@ SCHEMA = {
         "n_samples": (_p_min(1), 3000),
         "seed": (_p_min(0), 0),
         "split_seed": (_p_min(0), None),  # defaults to dataset seed
-        "range_lo": (_p_float, DEFAULT_UNIVARIATE_RANGE[0]),
-        "range_hi": (_p_float, DEFAULT_UNIVARIATE_RANGE[1]),
+        "range_lo": (finite, DEFAULT_UNIVARIATE_RANGE[0]),
+        "range_hi": (finite, DEFAULT_UNIVARIATE_RANGE[1]),
     },
     "model": {
         "shape": (_p_int_list, None),
@@ -116,23 +109,23 @@ SCHEMA = {
         "seed": (_p_min(0), 0),
     },
     "train": {
-        "learning_rate": (_p_float, 0.01),
-        "beta1": (_p_float, 0.9),
-        "beta2": (_p_float, 0.999),
-        "epsilon": (_p_float, 1e-8),
+        "learning_rate": (finite, 0.01),
+        "beta1": (finite, 0.9),
+        "beta2": (finite, 0.999),
+        "epsilon": (finite, 1e-8),
         "batch_size": (_p_batch, None),
         "max_steps": (int, 2000),
         "seed": (_p_min(0), 0),
         "early_stop_patience": (int, 500),
     },
     "prune": {
-        "threshold": (_p_min(0.0, _p_float), DEFAULT_PRUNE_TAU),
+        "threshold": (_p_min(0.0, finite), DEFAULT_PRUNE_TAU),
         "fine_tune_steps": (_p_min(0), 500),
     },
     "interpret": {
         "grid_size": (_p_min(2), interpret.DEFAULT_GRID_SIZE),
         "max_degree": (_p_min(0), interpret.DEFAULT_MAX_DEGREE),
-        "r2_target": (_p_float, interpret.DEFAULT_R2_TARGET),
+        "r2_target": (finite, interpret.DEFAULT_R2_TARGET),
         "svg": (_p_bool, True),
     },
     "benchmark": {
@@ -354,11 +347,10 @@ def cmd_interpret(args) -> int:
                 continue
             layer, i, u = e.edge_id
             s = interpret.sample_edge(model, e.edge_id, settings["grid_size"])
-            t = 2.0 * s.xs / np.pi - 1.0
             svgplot.save(
                 os.path.join(out, f"edge_{layer}_{i}_{u}.svg"),
                 [svgplot.Series(s.xs, s.ys, "edge output", points=True),
-                 svgplot.Series(s.xs, e.fit(t),
+                 svgplot.Series(s.xs, e.fit(interpret._to_t(s.xs)),
                                 f"degree-{e.fit.degree} fit")],
                 title=f"edge ({layer}, {i}, {u})", xlabel="x (encoded)",
                 ylabel="f(x)")
@@ -550,10 +542,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except LookupError as exc:
+    except (ConfigError, LookupError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrainingDivergedError as exc:

@@ -393,80 +393,10 @@ def read_csv_rows(path):
 
 
 # --- line-record files -------------------------------------------------------
-
-
-def _label(name: str, index: tuple) -> str:
-    shown = index[0] if len(index) == 1 else index
-    return f"{name} record {shown}" if index else f"{name} record"
-
-
-def read_records(path, kind: str, version: str, arity: dict, fail):
-    """Read the container of model and report files: a ``<kind> <version>``
-    header, one record ``<name> <tokens...>`` per line, ``end`` last; blank
-    lines and ``#`` comments are skipped.  A record is keyed by its name and
-    its first ``arity[name]`` tokens (ints where decimal).  Returns
-    ({name: {index tuple: (other tokens, line)}} for each name of ``arity``,
-    line of ``end``).  ``fail(line, message)`` must raise; it gets
-    ``version=True`` on an unsupported version, and is also called on a bad
-    header, an unknown name, a key seen twice, no ``end`` or a line after it.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.split()) for no, ln in enumerate(fh, start=1)
-                 if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != kind:
-        fail(lines[0][0] if lines else 1, f"expected '{kind} <version>' header")
-    no, (_, got) = lines[0]
-    if got != version:
-        fail(no, f"unsupported {kind} version {got!r}; this library reads {version}",
-             version=True)
-    records = {name: {} for name in arity}
-    for j, (no, toks) in enumerate(lines[1:], start=1):
-        name = toks[0]
-        if name == "end":
-            if j + 1 < len(lines):
-                fail(lines[j + 1][0], f"record after 'end' on line {no}")
-            if len(toks) > 1:
-                fail(no, "'end' takes no values")
-            return records, no
-        if name not in arity:
-            fail(no, f"unknown record {name!r}")
-        n = arity[name]
-        index = tuple(int(t) if t.isdecimal() else t for t in toks[1:1 + n])
-        rows = records[name]
-        if index in rows:
-            fail(no, f"duplicate record {' '.join(toks[:1 + n])}, "
-                     f"first on line {rows[index][1]}")
-        rows[index] = (toks[1 + n:], no)
-    fail(lines[-1][0], "missing 'end' record")
-
-
-def check_records(records, want: dict, where: str, no: int, fail) -> None:
-    """Fail unless ``records[name]`` holds exactly the indices ``want[name]``
-    lists, for each name of ``want``.  A record that does not fit is named
-    at its own line, earliest first, before a missing one, named at ``no``."""
-    extra = []
-    for name, indices in want.items():
-        keep = set(indices)
-        extra += [(line, name, index) for index, (_, line) in records[name].items()
-                  if index not in keep]
-    if extra:
-        line, name, index = min(extra)
-        fail(line, f"{_label(name, index)} does not fit {where}")
-    for name, indices in want.items():
-        for index in indices:
-            if index not in records[name]:
-                fail(no, f"{where} needs {_label(name, index)}")
-
-
-def read_record(records, name: str, index: tuple, parse, fail):
-    """``parse(tokens)`` of one record of ``read_records``.  Every check on
-    file content belongs in ``parse``: a ValueError, IndexError or
-    OverflowError it raises becomes ``fail`` at the record's line."""
-    toks, no = records[name][index]
-    try:
-        return parse(toks)
-    except (ValueError, IndexError, OverflowError) as exc:
-        fail(no, f"malformed {name} record: {exc}")
+# A format's table maps each record name to its token pattern, or to patterns
+# separated by ``|``: ``#`` is an index (indices come first and key the
+# record), ``int``, ``float``, ``hex`` (float.hex) and ``str`` are values,
+# ``<type>*`` takes the rest of the line, any other word is a keyword.
 
 
 def finite(tok: str, parse=float) -> float:
@@ -478,6 +408,142 @@ def finite(tok: str, parse=float) -> float:
     if not np.isfinite(v):
         raise ValueError(f"non-finite number {tok!r}")
     return v
+
+
+# slot type -> (token to value, value to token)
+_SLOTS = {"#": (int, str), "int": (int, lambda v: str(int(v))),
+          "float": (finite, lambda v: repr(float(v))),
+          "hex": (lambda tok: finite(tok, float.fromhex), lambda v: float(v).hex()),
+          "str": (str, str)}
+
+
+def _match(pattern, toks) -> list:
+    """The values of ``toks`` read by ``pattern``, a repeat as one list; a
+    ValueError or OverflowError unless every token fits."""
+    repeat = pattern[-1].endswith("*")
+    fixed = pattern[:-1] if repeat else pattern
+    if len(toks) < len(fixed) or (len(toks) > len(fixed) and not repeat):
+        raise ValueError(f"expected '{' '.join(pattern)}', got {len(toks)} token(s)")
+    for word, tok in zip(fixed, toks):
+        if word not in _SLOTS and tok != word:
+            raise ValueError(f"expected {word!r}, got {tok!r}")
+    values = [_SLOTS[word][0](tok) for word, tok in zip(fixed, toks) if word in _SLOTS]
+    if repeat:
+        values.append([_SLOTS[pattern[-1][:-1]][0](tok) for tok in toks[len(fixed):]])
+    return values
+
+
+def _label(name: str, index: tuple) -> str:
+    shown = index[0] if len(index) == 1 else index
+    return f"{name} record {shown}" if index else f"{name} record"
+
+
+def read_records(path, kind: str, version: str, table: dict, fail):
+    """Read a ``<kind> <version>`` header, one record ``<name> <tokens...>``
+    per line and ``end``, skipping blank lines and ``#`` comments; each
+    record must match a pattern of ``table[name]`` token by token.  Returns
+    ({name: {index: (values, line)}}, line of ``end``).  ``fail(line,
+    message)`` must raise; it gets ``version=True`` on an unsupported
+    version, and is also called on a bad header, an unknown name, a record
+    fitting no pattern, an index seen twice, no ``end`` or a line after it."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, start=1)
+                 if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines or len(lines[0][1]) != 2 or lines[0][1][0] != kind:
+        fail(lines[0][0] if lines else 1, f"expected '{kind} <version>' header")
+    no, (_, got) = lines[0]
+    if got != version:
+        fail(no, f"unsupported {kind} version {got!r}; this library reads {version}",
+             version=True)
+    records = {name: {} for name in table}
+    for j, (no, (name, *toks)) in enumerate(lines[1:], start=1):
+        if name == "end":
+            if j + 1 < len(lines):
+                fail(lines[j + 1][0], f"record after 'end' on line {no}")
+            if toks:
+                fail(no, "'end' takes no values")
+            return records, no
+        if name not in table:
+            fail(no, f"unknown record {name!r}")
+        misses = []
+        for pattern in map(str.split, table[name].split("|")):
+            try:
+                values = _match(pattern, toks)
+                break
+            except (ValueError, OverflowError) as exc:
+                misses.append(str(exc))
+        else:
+            fail(no, f"malformed {name} record: {' or '.join(misses)}")
+        n = pattern.count("#")
+        index, rows = tuple(values[:n]), records[name]
+        if index in rows:
+            fail(no, f"duplicate record {' '.join([name, *toks[:n]])}, "
+                     f"first on line {rows[index][1]}")
+        rows[index] = (values[n:], no)
+    fail(lines[-1][0], "missing 'end' record")
+
+
+def write_records(path, kind: str, version: str, table: dict, records) -> None:
+    """Write (name, values) ``records`` for ``read_records``, each by the
+    pattern of ``table[name]`` with one slot per value."""
+    lines = [f"{kind} {version}"]
+    for name, values in records:
+        pattern = next(p for p in map(str.split, table[name].split("|"))
+                       if sum(w.rstrip("*") in _SLOTS for w in p) == len(values))
+        toks, values = [name], iter(values)
+        for word in pattern:
+            slot = word.rstrip("*")
+            if slot not in _SLOTS:
+                toks.append(word)
+            else:
+                value = next(values)
+                toks += map(_SLOTS[slot][1], value if slot != word else [value])
+        lines.append(" ".join(toks))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines + ["end"]) + "\n")
+
+
+def _bound(bounds, index: tuple) -> int:
+    b = bounds[len(index)]
+    return b(*index) if callable(b) else b
+
+
+def _walk(bounds, index=()):
+    if len(index) == len(bounds):
+        yield index
+    else:
+        for v in range(_bound(bounds, index)):
+            yield from _walk(bounds, index + (v,))
+
+
+def check_records(records, want: dict, where: str, no: int, fail) -> None:
+    """Fail unless ``records[name]`` holds exactly the indices ``want[name]``
+    spans: a positive bound per index position, an int or a function of the
+    positions before it (``(n, lambda k: m[k])`` spans each (k, i) with k < n,
+    i < m[k]).  A record outside its span fails at its line, earliest first;
+    then the first missing one fails at ``no``, found by a walk that stops at
+    the first gap, so the work is bounded by the records present."""
+    extra = [(line, name, index) for name, bounds in want.items()
+             for index, (_, line) in records[name].items()
+             if len(index) != len(bounds) or not all(
+                 0 <= v < _bound(bounds, index[:j]) for j, v in enumerate(index))]
+    if extra:
+        line, name, index = min(extra)
+        fail(line, f"{_label(name, index)} does not fit {where}")
+    for name, bounds in want.items():
+        for index in _walk(bounds):
+            if index not in records[name]:
+                fail(no, f"{where} needs {_label(name, index)}")
+
+
+def read_record(records, name: str, index: tuple, parse, fail):
+    """``parse(values)`` of one record, for checks beyond its pattern: a
+    ValueError it raises becomes ``fail`` at the record's line."""
+    values, no = records[name][index]
+    try:
+        return parse(values)
+    except ValueError as exc:
+        fail(no, f"malformed {name} record: {exc}")
 
 
 def save_csv(dataset: Dataset, path) -> None:

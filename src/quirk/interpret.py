@@ -26,8 +26,9 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .dr import dr_forward_batch
 from .network import (Model, _layer_eval, _unit_divisors, apply_input_norm,
-                      network_forward, rescale)
-from .data import check_records, finite, read_record, read_records, write_csv_rows
+                      network_forward, rescale, spec_from_shape)
+from .data import (check_records, read_record, read_records, write_csv_rows,
+                   write_records)
 
 DEFAULT_GRID_SIZE = 257
 DEFAULT_MAX_DEGREE = 6
@@ -265,45 +266,36 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
 # --- report files -----------------------------------------------------------
 
 
+# record name -> token pattern(s); see data.read_records
+_REPORT_RECORDS = {
+    "shape": "int*",
+    "settings": "grid int max_degree int r2_target float",
+    "bias_flag": "int",
+    "input": "# min float max float",
+    "divisors": "# float*",
+    "edge": "# # # pruned | # # # active degree int r2 float coeffs float*",
+    "dense": "none | w float b float",
+    "surrogate_rmse": "float",
+    "model_rmse": "float",
+}
+
+
 def save_report(rep: InterpretReport, path) -> None:
     """Line-oriented text; repr() floats round-trip float64 exactly, so the
     surrogate is recomputable from the file alone."""
-    lines = [f"quirk-interpret {REPORT_FORMAT_VERSION}",
-             "shape " + " ".join(str(s) for s in rep.shape),
-             f"settings grid {rep.grid_size} max_degree {rep.max_degree} "
-             f"r2_target {repr(rep.r2_target)}",
-             f"bias_flag {rep.bias_flag}"]
-    for f in range(len(rep.input_norm)):
-        lo, hi = rep.input_norm[f]
-        lines.append(f"input {f} min {repr(float(lo))} max {repr(float(hi))}")
-    for k, div in enumerate(rep.divisors):
-        lines.append("divisors " + str(k) + " " +
-                     " ".join(repr(float(d)) for d in div))
-    for e in rep.edges:
-        layer, i, u = e.edge_id
-        if e.active:
-            coeffs = " ".join(repr(float(c)) for c in e.fit.coefficients)
-            lines.append(f"edge {layer} {i} {u} active degree {e.fit.degree} "
-                         f"r2 {repr(float(e.fit.r_squared))} coeffs {coeffs}")
-        else:
-            lines.append(f"edge {layer} {i} {u} pruned")
-    if rep.dense is not None:
-        lines.append(f"dense w {repr(float(rep.dense[0]))} "
-                     f"b {repr(float(rep.dense[1]))}")
-    else:
-        lines.append("dense none")
-    lines.append(f"surrogate_rmse {repr(float(rep.surrogate_rmse))}")
+    records = [("shape", [rep.shape]),
+               ("settings", [rep.grid_size, rep.max_degree, rep.r2_target]),
+               ("bias_flag", [rep.bias_flag])]
+    records += [("input", [f, lo, hi]) for f, (lo, hi) in enumerate(rep.input_norm)]
+    records += [("divisors", [k, div]) for k, div in enumerate(rep.divisors)]
+    records += [("edge", [*e.edge_id, e.fit.degree, e.fit.r_squared, e.fit.coefficients]
+                 if e.active else list(e.edge_id)) for e in rep.edges]
+    records.append(("dense", [] if rep.dense is None else list(rep.dense)))
+    records.append(("surrogate_rmse", [rep.surrogate_rmse]))
     if rep.model_rmse is not None:
-        lines.append(f"model_rmse {repr(float(rep.model_rmse))}")
-    lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-# record name -> number of index tokens that key it (see data.read_records)
-_REPORT_ARITY = {"shape": 0, "settings": 0, "bias_flag": 0, "input": 1,
-                 "divisors": 1, "edge": 3, "dense": 0, "surrogate_rmse": 0,
-                 "model_rmse": 0}
+        records.append(("model_rmse", [rep.model_rmse]))
+    write_records(path, "quirk-interpret", REPORT_FORMAT_VERSION, _REPORT_RECORDS,
+                  records)
 
 
 def load_report(path) -> InterpretReport:
@@ -313,75 +305,56 @@ def load_report(path) -> InterpretReport:
         raise ReportFormatError(f"{path}:{no}: {msg}")
 
     recs, end = read_records(path, "quirk-interpret", REPORT_FORMAT_VERSION,
-                             _REPORT_ARITY, fail)
-
+                             _REPORT_RECORDS, fail)
     read = partial(read_record, recs, fail=fail)
 
-    def network(toks):
-        shape = tuple(int(t) for t in toks)
-        if len(shape) < 2 or min(shape) < 1 or shape[-1] != 1:
-            raise ValueError(f"shape {list(shape)} is not a network ending in one unit")
-        return shape
+    def settings(values):
+        check_settings(*values[:2])
+        return dict(zip(("grid_size", "max_degree", "r2_target"), values))
 
-    def settings(toks):
-        grid, max_degree = int(toks[1]), int(toks[3])
-        check_settings(grid, max_degree)
-        return {"grid_size": grid, "max_degree": max_degree, "r2_target": finite(toks[5])}
-
-    def flag(toks):
-        if int(toks[0]) not in (0, 1):
-            raise ValueError(f"bias_flag must be 0 or 1, got {toks[0]}")
-        return int(toks[0])
-
-    def divisors(toks, k):
+    def divisors(values, k):
         # each unit divides by its live incoming edges, at least 1
-        div = [finite(t) for t in toks]
         live = _unit_divisors(np.array([[fits[k, i, u] is not None
                                          for u in range(shape[k + 1])]
                                         for i in range(shape[k])])).tolist()
-        if div != live:
-            raise ValueError(f"divisors {div} do not match the live edges, "
+        if values[0] != live:
+            raise ValueError(f"divisors {values[0]} do not match the live edges, "
                              f"which give {live}")
-        return div
+        return live
 
-    def edge(toks):
-        if toks[0] == "pruned":
+    def edge(values):
+        if not values:  # pruned
             return None
-        if toks[0] != "active":
-            raise ValueError(f"edge state must be active|pruned, got {toks[0]!r}")
-        degree, coeffs = int(toks[2]), np.array([finite(t) for t in toks[6:]])
-        if degree < 0 or coeffs.size != degree + 1:
+        degree, r2, coeffs = values
+        if degree < 0 or len(coeffs) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, "
-                             f"found {coeffs.size}")
+                             f"found {len(coeffs)}")
         if degree > kw["max_degree"]:
             raise ValueError(f"degree {degree} exceeds max_degree {kw['max_degree']}")
-        return PolyFit(coeffs, degree, finite(toks[4]))
+        return PolyFit(np.array(coeffs), degree, r2)
 
-    check_records(recs, {name: [()] for name in ("shape", "settings", "bias_flag",
-                                                  "dense", "surrogate_rmse")},
+    check_records(recs, {name: () for name in ("shape", "settings", "bias_flag",
+                                               "dense", "surrogate_rmse")},
                   "a report file", end, fail)
-    shape = read("shape", (), network)
+    # shape and bias_flag follow the rules of a network's spec
+    shape = read("shape", (), lambda v: tuple(spec_from_shape(v[0], 1).shape))
     kw = read("settings", (), settings)
+    n = len(shape) - 1
     # every record the shape calls for, exactly once, and nothing else
-    want = {"input": [(f,) for f in range(shape[0])],
-            "divisors": [(k,) for k in range(len(shape) - 1)],
-            "edge": [(k, i, u) for k in range(len(shape) - 1)
-                     for i in range(shape[k]) for u in range(shape[k + 1])]}
-    check_records(recs, want, f"shape {list(shape)}", end, fail)
-    fits = {eid: read("edge", eid, edge) for eid in want["edge"]}
+    check_records(recs, {"input": (shape[0],), "divisors": (n,),
+                         "edge": (n, lambda k: shape[k], lambda k, i: shape[k + 1])},
+                  f"shape {list(shape)}", end, fail)
+    fits = {eid: read("edge", eid, edge) for eid in sorted(recs["edge"])}
     return InterpretReport(
         shape=shape,
-        input_norm=np.array([read("input", f, lambda t: (finite(t[1]), finite(t[3])))
-                             for f in want["input"]]),
+        input_norm=np.array([recs["input"][(f,)][0] for f in range(shape[0])]),
         edges=[EdgeReport(eid, fit is not None, fit) for eid, fit in fits.items()],
-        divisors=[read("divisors", (k,), lambda t: divisors(t, k))
-                  for (k,) in want["divisors"]],
-        bias_flag=read("bias_flag", (), flag),
-        dense=read("dense", (), lambda t: None if t[0] == "none"
-                   else (finite(t[1]), finite(t[3]))),
-        surrogate_rmse=read("surrogate_rmse", (), lambda t: finite(t[0])),
-        model_rmse=(read("model_rmse", (), lambda t: finite(t[0]))
-                    if recs["model_rmse"] else None),
+        divisors=[read("divisors", (k,), lambda v: divisors(v, k)) for k in range(n)],
+        bias_flag=read("bias_flag", (), lambda v: spec_from_shape(
+            shape, 1, bias_flag=v[0]).bias_flag),
+        dense=tuple(recs["dense"][()][0]) or None,
+        surrogate_rmse=recs["surrogate_rmse"][()][0][0],
+        model_rmse=recs["model_rmse"][()][0][0] if recs["model_rmse"] else None,
         **kw)
 
 

@@ -29,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .data import check_records, finite, read_record, read_records
+from .data import check_records, read_record, read_records, write_records
 from .dr import DEFAULT_TEMPLATE, DRParams, GateTemplate, _check_capacity, _series
 
 
@@ -439,15 +439,15 @@ def param_count(model: Model) -> int:
 
 # --- serialization ----------------------------------------------------------
 # Versioned line-oriented text; floats as float.hex() so round-trips are
-# bitwise.  Field names below are the format documentation (see README).
+# bitwise.  The record table below is the format documentation (see README).
 
 
 def _template_str(t: GateTemplate) -> str:
     return ",".join(f"{kind}:{source}" for kind, source in t.gates)
 
 
-def _template_parse(toks) -> GateTemplate:
-    (text,) = toks
+def _template_parse(values) -> GateTemplate:
+    (text,) = values
     gates = [part.split(":") for part in text.split(",")]
     if any(len(g) != 2 for g in gates):
         raise ValueError(f"bad template {text!r}; expected kind:source,...")
@@ -455,116 +455,87 @@ def _template_parse(toks) -> GateTemplate:
                               for kind, source in gates))
 
 
+# record name -> token pattern(s); see data.read_records
+_MODEL_RECORDS = {
+    "template": "str", "input_dim": "int", "dense_head": "int", "bias_flag": "int",
+    "seed": "int", "layers": "int",
+    "layer": "# fan_in int units int dr_layers int qubits_per_edge int entangle int",
+    "edge": "# # # int hex*",
+    "norm": "unfitted | # hex hex",
+    "dense": "hex hex",
+}
+_SCALARS = ("template", "input_dim", "dense_head", "bias_flag", "seed", "layers",
+            "dense")
+
+
 def save_model(model: Model, path) -> None:
     """Write the versioned text format (see README for the field list)."""
-    lines = [f"quirk-model {MODEL_FORMAT_VERSION}"]
     s = model.spec
-    lines.append(f"template {_template_str(s.template)}")
-    lines.append(f"input_dim {s.input_dim}")
-    lines.append(f"dense_head {int(s.dense_head)}")
-    lines.append(f"bias_flag {s.bias_flag}")
-    lines.append(f"seed {s.seed}")
-    lines.append(f"layers {len(s.layers)}")
-    for k, layer in enumerate(s.layers):
-        lines.append(
-            f"layer {k} fan_in {layer.fan_in} units {layer.units} "
-            f"dr_layers {layer.dr_layers} qubits_per_edge {layer.qubits_per_edge} "
-            f"entangle {int(layer.entangle)}")
-    for k, layer in enumerate(s.layers):
-        for i in range(layer.fan_in):
-            for u in range(layer.units):
-                flat = model.thetas[k][:, i, u].reshape(-1)
-                hexes = " ".join(float(v).hex() for v in flat)
-                lines.append(
-                    f"edge {k} {i} {u} {int(model.edge_active[k][i, u])} {hexes}")
-    if model.input_norm is None:
-        lines.append("norm unfitted")
-    else:
-        for i in range(s.input_dim):
-            lo, hi = model.input_norm[i]
-            lines.append(f"norm {i} {float(lo).hex()} {float(hi).hex()}")
-    lines.append(f"dense {float(model.dense_w).hex()} {float(model.dense_b).hex()}")
-    lines.append("end")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    records = [(name, [value]) for name, value in zip(_SCALARS, (
+        _template_str(s.template), s.input_dim, s.dense_head, s.bias_flag, s.seed,
+        len(s.layers)))]
+    records += [("layer", [k, layer.fan_in, layer.units, layer.dr_layers,
+                           layer.qubits_per_edge, layer.entangle])
+                for k, layer in enumerate(s.layers)]
+    records += [("edge", [k, i, u, model.edge_active[k][i, u],
+                          model.thetas[k][:, i, u].reshape(-1)])
+                for k, layer in enumerate(s.layers)
+                for i in range(layer.fan_in) for u in range(layer.units)]
+    records += ([("norm", [])] if model.input_norm is None else
+                [("norm", [i, lo, hi]) for i, (lo, hi) in enumerate(model.input_norm)])
+    records.append(("dense", [model.dense_w, model.dense_b]))
+    write_records(path, "quirk-model", MODEL_FORMAT_VERSION, _MODEL_RECORDS, records)
 
 
 def _fail(lineno: int, msg: str, version: bool = False):
     raise (ModelVersionError if version else ModelFormatError)(f"line {lineno}: {msg}")
 
 
-def _int(toks) -> int:
-    (tok,) = toks
-    return int(tok)
-
-
-def _hexes(toks, shape) -> np.ndarray:
-    if len(toks) != np.prod(shape):
-        raise ValueError(f"needs {np.prod(shape)} number(s), got {len(toks)}")
-    return np.reshape([finite(t, float.fromhex) for t in toks], shape)
-
-
-def _layer(toks) -> LayerSpec:
-    kv = dict(zip(toks[::2], toks[1::2]))
-    if len(toks) != 2 * len(_LAYER_FIELDS) or set(kv) != set(_LAYER_FIELDS):
-        raise ValueError(f"needs fields {_LAYER_FIELDS}")
-    row = {f: int(kv[f]) for f in _LAYER_FIELDS}
-    return LayerSpec(**row | {"entangle": bool(row["entangle"])})
-
-
-def _norm(toks) -> np.ndarray:
-    row = _hexes(toks, 2)
-    if not row[0] < row[1]:
-        raise ValueError(f"min {toks[0]} must be below max {toks[1]}")
-    return row
-
-
-# record name -> number of index tokens that key it (see data.read_records)
-_MODEL_ARITY = {"template": 0, "input_dim": 0, "dense_head": 0, "bias_flag": 0,
-                "seed": 0, "layers": 0, "layer": 1, "edge": 3, "norm": 1, "dense": 0}
-_LAYER_FIELDS = ("fan_in", "units", "dr_layers", "qubits_per_edge", "entangle")
+def _norm(values) -> list:
+    if not values[0] < values[1]:
+        raise ValueError(f"min {values[0].hex()} must be below max {values[1].hex()}")
+    return values
 
 
 def load_model(path) -> Model:
     """Read a model file; raises ModelVersionError / ModelFormatError naming
-    the line on anything malformed.  Each record is checked as it is parsed,
-    so a value a constructor rejects fails at its own line too."""
+    the line on anything malformed, a value a constructor rejects included.
+    Nothing is sized by a header number before the records it counts."""
     recs, end = read_records(path, "quirk-model", MODEL_FORMAT_VERSION,
-                             _MODEL_ARITY, _fail)
-
+                             _MODEL_RECORDS, _fail)
     read = partial(read_record, recs, fail=_fail)
 
-    check_records(recs, {name: [()] for name, n in _MODEL_ARITY.items() if n == 0},
-                  "a model file", end, _fail)
-    template = read("template", (), _template_parse)
+    check_records(recs, {name: () for name in _SCALARS}, "a model file", end, _fail)
     input_dim, dense_head, bias_flag, seed, n_layers = (
-        read(name, (), _int)
-        for name in ("input_dim", "dense_head", "bias_flag", "seed", "layers"))
-    check_records(recs, {"layer": [(k,) for k in range(n_layers)]}, f"layers {n_layers}",
-                  end, _fail)
-    layers = [read("layer", (k,), _layer) for k in range(n_layers)]
+        recs[name][()][0][0] for name in _SCALARS[1:6])
+    template = read("template", (), _template_parse)
+    check_records(recs, {"layer": (n_layers,)}, f"layers {n_layers}", end, _fail)
+    layers = [read("layer", (k,), lambda v: LayerSpec(*v[:4], bool(v[4])))
+              for k in range(n_layers)]
     # the architecture's own rules (the layer chain, one final unit,
     # bias_flag, input_dim) fail at the layers record
     spec = read("layers", (), lambda _: NetworkSpec(
         input_dim, layers, bool(dense_head), bias_flag, seed, template))
 
-    unfitted = ("unfitted",) in recs["norm"]
-    want = {"edge": [(k, i, u) for k, layer in enumerate(layers)
-                     for i in range(layer.fan_in) for u in range(layer.units)],
-            "norm": [("unfitted",)] if unfitted else [(i,) for i in range(spec.input_dim)]}
-    check_records(recs, want, "the architecture", end, _fail)
+    unfitted = () in recs["norm"]
+    check_records(recs, {"edge": (n_layers, lambda k: layers[k].fan_in,
+                                  lambda k, i: layers[k].units),
+                         "norm": () if unfitted else (spec.input_dim,)},
+                  "the architecture", end, _fail)
     P = template.params_per_layer
+    for (k, i, u), ((_, angles), line) in recs["edge"].items():
+        want = layers[k].dr_layers * layers[k].qubits_per_edge * P
+        if len(angles) != want:
+            _fail(recs["layer"][(k,)][1], f"layer {k} gives each edge {want} angle(s), "
+                  f"but edge record {(k, i, u)} on line {line} has {len(angles)}")
+    # every edge record holds its angles, so these are sized by the file
     thetas = [np.zeros(_theta_shape(layer, P)) for layer in layers]
     active = [np.ones((layer.fan_in, layer.units), dtype=bool) for layer in layers]
-    for k, i, u in want["edge"]:
-        angles = thetas[k][:, i, u]  # a view
-        active[k][i, u], angles[...] = read(
-            "edge", (k, i, u), lambda t: (bool(int(t[0])), _hexes(t[1:], angles.shape)))
-    if unfitted:
-        read("norm", ("unfitted",), lambda t: _hexes(t, 0))
-        input_norm = None
-    else:
-        input_norm = np.array([read("norm", (i,), _norm) for i in range(spec.input_dim)])
-    dense_w, dense_b = read("dense", (), lambda t: _hexes(t, 2))
+    for (k, i, u), ((flag, angles), _) in recs["edge"].items():
+        active[k][i, u] = bool(flag)
+        thetas[k][:, i, u] = np.reshape(angles, thetas[k][:, i, u].shape)
+    input_norm = None if unfitted else np.array(
+        [read("norm", (i,), _norm) for i in range(spec.input_dim)])
+    dense_w, dense_b = recs["dense"][()][0]
     return Model(spec=spec, thetas=thetas, edge_active=active,
-                 dense_w=float(dense_w), dense_b=float(dense_b), input_norm=input_norm)
+                 dense_w=dense_w, dense_b=dense_b, input_norm=input_norm)

@@ -316,6 +316,18 @@ class TestEvalPruneInterpret:
         assert main(["eval", str(bad), "--config", cfg]) == 1
         assert capsys.readouterr().err.startswith("file error: line 2: ")
 
+    def test_oversized_header_number_is_file_error(self, trained, tmp_path, capsys):
+        # a layer calling for 10^12 angles per edge fails at its line, not
+        # with an allocation error
+        cfg, model = trained
+        lines = open(model).read().splitlines()
+        assert lines[7].startswith("layer 0 ") and " dr_layers 2 " in lines[7]
+        lines[7] = lines[7].replace(" dr_layers 2 ", " dr_layers 1000000000000 ")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(bad), "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("file error: line 8: ")
+
     def test_prune_never_grows(self, trained, tmp_path, capsys):
         cfg, model = trained
         capsys.readouterr()

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,7 @@ from quirk.network import (Model, fit_input_norm, init_model, network_forward,
                            spec_from_shape)
 from quirk.train import TrainConfig, train
 
-from mutations import escapes
+from mutations import escapes, insertions
 
 
 def lstsq_poly_oracle(xs, ys, degree):
@@ -256,6 +257,9 @@ class TestReport:
                                interpret.surrogate_forward(rep2, Xte))
         assert rep2.surrogate_rmse == rep.surrogate_rmse
         assert rep2.model_rmse == rep.model_rmse
+        again = tmp_path / "again.txt"
+        interpret.save_report(rep2, again)
+        assert again.read_bytes() == p.read_bytes()
 
     def test_load_rejects_corrupt_files(self, tmp_path):
         model, ds = self.trained_model()
@@ -282,8 +286,8 @@ class TestReport:
         with pytest.raises(interpret.ReportFormatError):
             interpret.load_report(mangled)
 
-    def saved_dense_head_report(self, tmp_path):
-        m = init_model(spec_from_shape([2, 2, 1], dr_layers=3, dense_head=True,
+    def saved_dense_head_report(self, tmp_path, dense_head=True):
+        m = init_model(spec_from_shape([2, 2, 1], dr_layers=3, dense_head=dense_head,
                                        seed=0))
         m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
         m.edge_active[0][1, 0] = False
@@ -312,6 +316,63 @@ class TestReport:
 
         assert escapes(p, load_consistent, interpret.ReportFormatError,
                        prefix=re.escape(str(p)) + r":\d+: ") == []
+
+    @pytest.mark.parametrize("dense_head", [True, False])
+    def test_file_round_trip_is_byte_exact(self, tmp_path, dense_head):
+        # a pruned edge, no model_rmse, and 'dense w .. b ..' or 'dense none'
+        p = self.saved_dense_head_report(tmp_path, dense_head)
+        text = p.read_text()
+        assert "pruned" in text and "model_rmse" not in text
+        assert ("dense none" in text) != dense_head
+        again = tmp_path / "again.txt"
+        interpret.save_report(interpret.load_report(p), again)
+        assert again.read_text() == text
+
+    def test_inserted_token_never_loads(self, tmp_path):
+        p = self.saved_dense_head_report(tmp_path)
+        assert escapes(p, interpret.load_report, interpret.ReportFormatError,
+                       prefix=re.escape(str(p)) + r":\d+: ", cases=insertions,
+                       must_fail=True) == []
+
+    @pytest.mark.parametrize("record,keyword,junk", [
+        ("input 0 ", "min", "foo"),
+        ("settings ", "max_degree", "foo"),
+        ("dense w ", "b", "q"),
+        ("edge 0 0 0 active ", "r2", "rr"),
+    ])
+    def test_wrong_keyword_names_its_line(self, tmp_path, record, keyword, junk):
+        p = self.saved_dense_head_report(tmp_path)
+        lines = p.read_text().splitlines()
+        at = next(n for n, ln in enumerate(lines) if ln.startswith(record))
+        lines[at] = " ".join(junk if t == keyword else t for t in lines[at].split())
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(interpret.ReportFormatError,
+                           match=rf"report\.txt:{at + 1}: .*expected '{keyword}', "
+                                 rf"got '{junk}'"):
+            interpret.load_report(p)
+
+    def test_shape_costs_only_the_file(self, tmp_path):
+        # a shape calling for far more records than the file holds fails at a
+        # line without sizing anything by the shape
+        m = init_model(spec_from_shape([2, 1], dr_layers=1, seed=0))
+        m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
+
+        class Plain:
+            X = np.random.default_rng(2).uniform(0, 1, (10, 2))
+            y = None
+            splits = None
+
+        p = tmp_path / "report.txt"
+        interpret.save_report(interpret.report(m, Plain()), p)
+        p.write_text(p.read_text().replace("shape 2 1\n", "shape 2 1000 1000 1\n"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(interpret.ReportFormatError, match=r"report\.txt:\d+: "):
+                interpret.load_report(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("old,new,match", [
         ("divisors 1 ", None, "divisors record 1"),

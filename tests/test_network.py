@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,7 @@ from quirk.network import (LayerSpec, Model, ModelFormatError,
                            network_backward, network_forward, param_count,
                            rescale, save_model, spec_from_shape)
 
-from mutations import escapes
+from mutations import escapes, insertions
 from oracles import central_diff, naive_dr_forward
 
 
@@ -297,9 +299,13 @@ class TestBackward:
 
 class TestSerialization:
     def roundtrip(self, m, tmp_path):
-        p = tmp_path / "model.txt"
+        # save -> load -> save must give the same bytes
+        p, again = tmp_path / "model.txt", tmp_path / "again.txt"
         save_model(m, p)
-        return load_model(p)
+        m2 = load_model(p)
+        save_model(m2, again)
+        assert again.read_bytes() == p.read_bytes()
+        return m2
 
     def test_bitwise_thetas_and_norm(self, tmp_path):
         m = small_model((2, 2, 1), dr_layers=3, seed=13, dense=True)
@@ -326,6 +332,19 @@ class TestSerialization:
         m = small_model((2, 1), dr_layers=2, template=SU2_TEMPLATE)
         m2 = self.roundtrip(m, tmp_path)
         assert m2.spec.template == SU2_TEMPLATE
+
+    def test_every_record_alternative_round_trips(self, tmp_path):
+        # unfitted norm, a pruned edge, a dense head, the SU2 template and a
+        # 2-qubit entangled layer in one file
+        m = init_model(spec_from_shape([3, 2, 1], dr_layers=[2, 1], dense_head=True,
+                                       qubits_per_edge=2, entangle=True, seed=4,
+                                       template=SU2_TEMPLATE))
+        m.edge_active[0][1, 0] = False
+        m.dense_w, m.dense_b = 0.1 + 0.2, -1e-17
+        m2 = self.roundtrip(m, tmp_path)
+        assert m2.input_norm is None and m2.spec == m.spec
+        for a, b in zip(m.thetas + m.edge_active, m2.thetas + m2.edge_active):
+            npt.assert_array_equal(a, b)
 
     def test_version_error_names_supported(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -403,6 +422,36 @@ class TestSerialization:
         m.edge_active[0][1, 0] = False
         save_model(m, p)
         assert escapes(p, load_model, ModelFormatError, prefix=r"line \d+: ") == []
+
+    def test_inserted_token_never_loads(self, tmp_path):
+        p = tmp_path / "m.txt"
+        m = small_model((2, 2, 1), dr_layers=3, dense=True)
+        m.edge_active[0][1, 0] = False
+        save_model(m, p)
+        assert escapes(p, load_model, ModelFormatError, prefix=r"line \d+: ",
+                       cases=insertions, must_fail=True) == []
+
+    @pytest.mark.parametrize("old,new,line", [
+        ("layers 1", "layers 200000", r"\d+"),
+        ("layer 0 fan_in 2 units 1 dr_layers 1 ",
+         "layer 0 fan_in 2 units 1 dr_layers 1000000000000 ", "8"),
+    ])
+    def test_header_number_costs_only_the_file(self, tmp_path, old, new, line):
+        # a header number calling for more than the file holds fails at a
+        # line without sizing anything by that number
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 1), dr_layers=1), p)
+        text = p.read_text()
+        assert len(text.splitlines()) == 14 and old in text
+        p.write_text(text.replace(old, new))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelFormatError, match=rf"^line {line}: "):
+                load_model(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("old,new,match", [
         ("input_dim 2", "input_dim 3", "fan_in=2 does not match previous width 3"),
