@@ -395,8 +395,9 @@ def read_csv_rows(path):
 # --- line-record files -------------------------------------------------------
 # A format's table maps each record name to its token pattern, or to patterns
 # separated by ``|``: ``#`` is an index (indices come first and key the
-# record), ``int``, ``float``, ``hex`` (float.hex) and ``str`` are values,
-# ``<type>*`` takes the rest of the line, any other word is a keyword.
+# record), ``int``, ``flag`` (0 or 1), ``float``, ``hex`` (float.hex) and
+# ``str`` are values, ``<type>*`` takes the rest of the line, any other word
+# is a keyword.
 
 
 def finite(tok: str, parse=float) -> float:
@@ -410,8 +411,15 @@ def finite(tok: str, parse=float) -> float:
     return v
 
 
+def _flag(tok: str) -> bool:
+    if tok not in ("0", "1"):
+        raise ValueError(f"expected a flag 0 or 1, got {tok!r}")
+    return tok == "1"
+
+
 # slot type -> (token to value, value to token)
 _SLOTS = {"#": (int, str), "int": (int, lambda v: str(int(v))),
+          "flag": (_flag, lambda v: str(int(v))),
           "float": (finite, lambda v: repr(float(v))),
           "hex": (lambda tok: finite(tok, float.fromhex), lambda v: float(v).hex()),
           "str": (str, str)}

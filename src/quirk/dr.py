@@ -20,11 +20,13 @@ or ``(L, ..., n, P)`` whose middle axes broadcast against the input.
 
 The kernel is also a compiler.  With K encoding gates in all, the readout
 is exactly a real trigonometric polynomial of degree K in x, so ``_series``
-runs the adjoint sweep once on 2K+1 nodes for every edge of a network layer
-and turns the values and angle gradients into Fourier coefficients and
-their Jacobian with a fixed real DFT.  The network evaluates and trains
-from those coefficients; the statevector kernel serves ``dr_forward_batch``,
-``dr_gradient`` and the compile step.
+runs the adjoint sweep once on 2K+1 nodes for every live edge of the
+network layers it is given (all layers that share their wiring, in one
+call) and turns the values and angle gradients into Fourier coefficients
+and their Jacobian with a fixed real DFT.  It is a plain function: the
+network memoises its results, once per network state.  The network
+evaluates and trains from those coefficients; the statevector kernel serves
+``dr_forward_batch``, ``dr_gradient`` and the compile step.
 """
 
 from __future__ import annotations
@@ -310,12 +312,6 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
 # degree K in x (each gate adds frequencies +-1/2 to bra and ket, so <Z>
 # holds integer frequencies |k| <= K), hence 2K+1 samples fix it exactly.
 
-# compiled parameter states kept (one per layer and angle state); an entry is
-# two small coefficient arrays.  A training step compiles each layer once in
-# its backward pass and hits the cache in its validation and train forwards.
-_SERIES_CACHE = 32
-
-
 @lru_cache(maxsize=None)
 def _dft(K: int) -> np.ndarray:
     """Real DFT (2K+1, 2K+1) taking values at x_m = 2 pi m / (2K+1) to the
@@ -327,39 +323,54 @@ def _dft(K: int) -> np.ndarray:
     return D
 
 
-@lru_cache(maxsize=_SERIES_CACHE)
-def _series_of(raw: bytes, shape: tuple, n: int, entangle: bool,
-               template: GateTemplate):
-    thetas = np.frombuffer(raw, dtype=np.float64).reshape(shape)
-    K = sum(1 for _, s in template.gates if s == "input") * n * shape[0]
-    D = _dft(K)
-    mid = len(shape) - (2 if n == 1 else 3)  # edge axes between L and ([n,] P)
-    nodes = (2.0 * np.pi / (2 * K + 1)) * np.arange(2 * K + 1)
-    f, _, dtheta = _grad(nodes.reshape((-1,) + (1,) * mid), thetas, n, entangle,
-                         template)
-    c = np.ascontiguousarray(np.moveaxis(np.tensordot(D, f, axes=(1, 0)), 0, -1))
-    J = np.tensordot(dtheta, D, axes=(1, 1))
-    c.flags.writeable = J.flags.writeable = False
-    return K, c, J
-
-
-def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
+def _series(thetas, n: int, entangle: bool, template: GateTemplate, live=None):
     """Compile the edges of stacked ``thetas`` (L, ..., P) or (L, ..., n, P)
     to their exact Fourier series.
 
     Returns (K, c, J): the degree K, the coefficients c (..., 2K+1) over the
     basis [1, cos kx (k = 1..K), sin kx (k = 1..K)], and their Jacobian
-    J = dc/dthetas, shaped thetas.shape + (2K+1,).  All edges are compiled
-    in one adjoint sweep over the 2K+1 nodes.  Results are memoised on the
-    angles' content (not the array's identity, since optimizers update in
-    place) and are read-only.
+    J = dc/dthetas, shaped thetas.shape + (2K+1,).
+
+    ``thetas`` may also be a list of stacks sharing L and the trailing axes
+    (say, the layers of a network with the same wiring), with ``live`` one
+    boolean mask per stack over its edge axes; c and J are then lists, one
+    entry per stack.  Dead edges are left out of the sweep and get c = 0 and
+    J = 0.  All live edges of all stacks are compiled in one adjoint sweep
+    over the 2K+1 nodes, laid out on one flat edge axis.  The DFT then runs
+    on each stack in its own shape, because a matrix product's rounding can
+    depend on its width: each stack's c and J are bit-equal to compiling it
+    alone.  The results are read-only.
     """
-    thetas = np.asarray(thetas, dtype=np.float64)
-    return _series_of(thetas.tobytes(), thetas.shape, n, entangle, template)
-
-
-_series.cache_info = _series_of.cache_info
-_series.cache_clear = _series_of.cache_clear
+    one = not isinstance(thetas, list)
+    if one:  # every edge live
+        thetas = [np.asarray(thetas, dtype=np.float64)]
+        live = [np.ones(thetas[0].shape[1:thetas[0].ndim - (1 if n == 1 else 2)],
+                        dtype=bool)]
+    L = thetas[0].shape[0]
+    K = sum(1 for _, s in template.gates if s == "input") * n * L
+    D = _dft(K)
+    N = 2 * K + 1
+    nodes = (2.0 * np.pi / N) * np.arange(N)
+    flat = np.concatenate([t[:, m] for t, m in zip(thetas, live)], axis=1)
+    f, _, dtheta = _grad(nodes[:, None], flat, n, entangle, template)
+    dtheta = np.moveaxis(dtheta, 1, -1)  # nodes last
+    cs, Js = [], []
+    start = 0
+    for t, m in zip(thetas, live):
+        stop = start + np.count_nonzero(m)
+        fm = np.zeros((N,) + m.shape)
+        fm[:, m] = f[:, start:stop]
+        dm = np.zeros(t.shape + (N,))
+        dm[:, m] = dtheta[:, start:stop]
+        start = stop
+        # c = D f and J = dtheta D^T, contracting the nodes
+        c = np.ascontiguousarray(np.dot(D, fm.reshape(N, m.size)).T)
+        c = c.reshape(m.shape + (N,))
+        J = np.dot(dm.reshape(-1, N), D.T).reshape(dm.shape)
+        c.flags.writeable = J.flags.writeable = False
+        cs.append(c)
+        Js.append(J)
+    return (K, cs[0], Js[0]) if one else (K, cs, Js)
 
 
 # --- public ops -------------------------------------------------------------

@@ -25,8 +25,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .dr import dr_forward_batch
-from .network import (Model, _layer_eval, _unit_divisors, apply_input_norm,
-                      network_forward, rescale, spec_from_shape)
+from .network import (Model, _compiled, _layer_eval, _unit_divisors,
+                      apply_input_norm, network_forward, rescale, spec_from_shape)
 from .data import (check_records, read_record, read_records, write_csv_rows,
                    write_records)
 
@@ -220,8 +220,9 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
            r2_target: float = DEFAULT_R2_TARGET) -> InterpretReport:
     """Fit every active edge, compose the surrogate, and measure its RMSE
     against the model.  Each layer's edges are sampled on the grid in one
-    evaluation of its compiled Fourier series, so the fits see exactly the
-    function the model serves.  ``dataset`` supplies the evaluation inputs
+    evaluation of its compiled Fourier series, read from the same memo the
+    network's forward pass uses, so the fits see exactly the function the
+    model serves.  ``dataset`` supplies the evaluation inputs
     (the test split when one is attached, otherwise all rows)."""
     if model.input_norm is None:
         raise RuntimeError("model has no fitted input normalization")
@@ -229,11 +230,12 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
     xs = np.linspace(0.0, np.pi, grid_size)
     edges = []
     divisors = []
-    for k, layer in enumerate(model.spec.layers):
+    series = _compiled(model.spec.layers, model.spec.template, model.thetas,
+                       model.edge_active)
+    for k, (layer, (K, c, _)) in enumerate(zip(model.spec.layers, series)):
         active = model.edge_active[k]
         divisors.append(_unit_divisors(active).tolist())
-        f = _layer_eval(np.repeat(xs[:, None], layer.fan_in, axis=1), layer,
-                        model.thetas[k], active, model.spec.template,
+        f = _layer_eval(np.repeat(xs[:, None], layer.fan_in, axis=1), K, c,
                         want_grads=False)[1]
         for i in range(layer.fan_in):
             for u in range(layer.units):
@@ -360,8 +362,8 @@ def load_report(path) -> InterpretReport:
 
 def save_coeffs_csv(rep: InterpretReport, path) -> None:
     """Coefficient table, one row per edge, padded with zeros up to the
-    report's max degree."""
-    width = rep.max_degree + 1
+    largest degree fitted in the report."""
+    width = max((e.fit.degree + 1 for e in rep.edges if e.active), default=0)
     header = ["layer", "input", "unit", "active", "degree", "r_squared"] + [
         f"c{d}" for d in range(width)]
     rows = []

@@ -12,20 +12,23 @@ on training data (min, max) -> [0, pi]; inference clamps.
 
 Parameters are stored stacked per layer -- thetas[k] has shape
 (L, fan_in, units, P) for single-qubit edges, (L, fan_in, units, n, P)
-for n-qubit edges.  A layer's edges are compiled once per parameter
-state to their exact Fourier series in x (``dr._series``: one statevector
-sweep over 2K+1 nodes for all edges, whatever the qubit count), and every
-forward and backward pass evaluates the layer as a real-valued contraction
-with the basis [1, cos kx, sin kx].  ``edge_active`` boolean masks support
-pruning: an inactive edge contributes nothing, is not trained, and is not
-counted.
+for n-qubit edges.  Every edge is compiled to its exact Fourier series in
+x, and every forward and backward pass evaluates a layer as a real-valued
+contraction with the basis [1, cos kx, sin kx].  The compile is memoised on
+the whole network's state (``_compiled``: layer specs, template, angles and
+edge masks): a miss makes one ``dr._series`` call for each group of layers
+that share their wiring (one statevector sweep over 2K+1 nodes for all their
+live edges, whatever the qubit count), so a training step compiles once in
+its backward pass and its validation forward is a hit.  ``edge_active``
+boolean masks support pruning: an inactive edge is not compiled, contributes
+nothing, is not trained, and is not counted.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -253,22 +256,56 @@ def _unit_divisors(active: np.ndarray) -> np.ndarray:
     return np.maximum(counts, 1.0)
 
 
-def _layer_eval(h: np.ndarray, layer: LayerSpec, thetas: np.ndarray,
-                active: np.ndarray, template: GateTemplate, want_grads: bool):
-    """Evaluate one layer on normalized inputs h (B, fan_in).
+# network states whose compiled series are kept: enough that a training
+# step's backward pass and validation forward share one entry and serving
+# hits, few enough that a serving round's short train() or prune() never
+# finds the previous round's states (a round of the wide benchmark visits 13)
+_MEMO_STATES = 8
 
-    The layer's edges are compiled to their Fourier series (``dr._series``,
-    once per parameter state), so edge (i, u) reads
-    f(x) = c_0 + sum_k c_k cos kx + c_{K+k} sin kx.  The basis depends on
-    the input only.  f accumulates in a fixed loop of broadcast
-    multiply-adds over rows, and unit sums add the inputs in order, so a row
-    gets the same arithmetic in any batch.  Returns (unit_sums (B, units),
-    edge_vals (B, fan_in, units), basis (2K+1, fan_in, B) or None unless
-    ``want_grads``, coefficients c (fan_in, units, 2K+1) with inactive edges
-    zeroed, and their Jacobian J = dc/dthetas).
+
+def _compiled(layers: tuple, template: GateTemplate, thetas, active) -> tuple:
+    """Each layer's compiled Fourier series (K, c, J) (see ``dr._series``),
+    dead edges' c and J zero.  Memoised on the content of the angles and
+    masks, not the arrays' identity, since optimizers and pruning update
+    them in place; the results are read-only."""
+    return _compile(layers, template,
+                    tuple(np.asarray(t, dtype=np.float64).tobytes() for t in thetas),
+                    tuple(np.asarray(a, dtype=bool).tobytes() for a in active))
+
+
+@lru_cache(maxsize=_MEMO_STATES)
+def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple):
+    # one dr._series call per group of layers sharing their wiring
+    P = template.params_per_layer
+    groups = {}
+    for k, layer in enumerate(layers):
+        wiring = (layer.dr_layers, layer.qubits_per_edge, layer.entangle)
+        groups.setdefault(wiring, []).append(k)
+    out = [None] * len(layers)
+    for (_, n, entangle), ks in groups.items():
+        K, cs, Js = _series(
+            [np.frombuffer(angles[k]).reshape(_theta_shape(layers[k], P)) for k in ks],
+            n, entangle, template,
+            [np.frombuffer(masks[k], dtype=bool).reshape(layers[k].fan_in,
+                                                         layers[k].units)
+             for k in ks])
+        for k, c, J in zip(ks, cs, Js):
+            out[k] = (K, c, J)
+    return tuple(out)
+
+
+def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
+    """Evaluate one layer on normalized inputs h (B, fan_in) from its
+    compiled series: degree K and coefficients c (fan_in, units, 2K+1), dead
+    edges zeroed, as ``_compiled`` gives them.
+
+    Edge (i, u) reads f(x) = c_0 + sum_k c_k cos kx + c_{K+k} sin kx.  The
+    basis depends on the input only.  f accumulates in a fixed loop of
+    broadcast multiply-adds over rows, and unit sums add the inputs in
+    order, so a row gets the same arithmetic in any batch.  Returns
+    (unit_sums (B, units), edge_vals (B, fan_in, units), basis
+    (2K+1, fan_in, B) or None unless ``want_grads``).
     """
-    K, c, J = _series(thetas, layer.qubits_per_edge, layer.entangle, template)
-    c = c * active[:, :, None]
     x = np.ascontiguousarray(h.T)
     cos1, sin1 = np.cos(x), np.sin(x)
     # the backward pass needs the whole basis; a forward pass keeps only
@@ -292,9 +329,9 @@ def _layer_eval(h: np.ndarray, layer: LayerSpec, thetas: np.ndarray,
     np.minimum(f, 1.0, out=f)
     np.maximum(f, -1.0, out=f)
     sums = f[0].copy()
-    for i in range(1, layer.fan_in):
+    for i in range(1, c.shape[0]):
         sums += f[i]
-    return sums.T, f.transpose(2, 0, 1), basis, c, J
+    return sums.T, f.transpose(2, 0, 1), basis
 
 
 def layer_forward(inputs, thetas, active=None, entangle: bool = False,
@@ -313,21 +350,26 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
     fan_in, units = thetas.shape[1], thetas.shape[2]
     if h.shape[1] != fan_in:
         raise ValueError(f"input length {h.shape[1]} != fan_in {fan_in}")
+    if thetas.shape[-1] != template.params_per_layer:
+        raise ValueError(f"thetas last dim {thetas.shape[-1]} does not match "
+                         f"template params_per_layer={template.params_per_layer}")
     n = 1 if thetas.ndim == 4 else thetas.shape[3]
     layer = LayerSpec(fan_in=fan_in, units=units, dr_layers=thetas.shape[0],
                       qubits_per_edge=n, entangle=entangle)
-    if active is None:
-        active = np.ones((fan_in, units), dtype=bool)
-    sums = _layer_eval(h, layer, thetas, np.asarray(active, dtype=bool), template,
-                       want_grads=False)[0]
+    active = (np.ones((fan_in, units), dtype=bool) if active is None
+              else np.asarray(active, dtype=bool))
+    if active.shape != (fan_in, units):
+        raise ValueError(f"active shape {active.shape} != {(fan_in, units)}")
+    K, c, _ = _compiled((layer,), template, [thetas], [active])[0]
+    sums = _layer_eval(h, K, c, want_grads=False)[0]
     return sums[0] if single else sums
 
 
 def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     """Shared forward: returns (yhat (B,), caches).  caches[k] holds the
-    layer's unit sums, edge values, Fourier basis (None unless
-    ``want_grads``), coefficients and their Jacobian (see _layer_eval), plus
-    the rescale divisors."""
+    layer's unit sums, edge values and Fourier basis (None unless
+    ``want_grads``; see _layer_eval), its compiled coefficients and their
+    Jacobian (see _compiled), plus the rescale divisors."""
     if model.input_norm is None:
         raise RuntimeError(
             "input normalization is unfitted; train first or set model.input_norm")
@@ -341,9 +383,10 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     caches = []
     v = None
     n_layers = len(model.spec.layers)
-    for k, layer in enumerate(model.spec.layers):
-        v, f, basis, c, J = _layer_eval(h, layer, model.thetas[k], model.edge_active[k],
-                                        model.spec.template, want_grads)
+    series = _compiled(model.spec.layers, model.spec.template, model.thetas,
+                       model.edge_active)
+    for k, (K, c, J) in enumerate(series):
+        v, f, basis = _layer_eval(h, K, c, want_grads)
         caches.append({"v": v, "f": f, "basis": basis, "c": c, "J": J})
         if k < n_layers - 1:
             div = _unit_divisors(model.edge_active[k])
@@ -406,8 +449,8 @@ def network_backward(X, y, model: Model):
         basis, c = cache["basis"], cache["c"]
         # contract the cotangent with the basis first, so no per-sample
         # dtheta is ever built: G[i, u, m] = sum_b basis_m(h_bi) cot_bu
+        # dead edges have J = 0, so they get no gradient
         G = np.matmul(basis.transpose(1, 0, 2), cot).transpose(0, 2, 1)
-        G *= model.edge_active[k][:, :, None]
         grads.thetas[k] = np.einsum("liu...k,iuk->liu...", cache["J"], G)
         if k > 0:
             # dh_bi = sum_m basis'_m(h_bi) sum_u c_ium cot_bu, with
@@ -457,10 +500,10 @@ def _template_parse(values) -> GateTemplate:
 
 # record name -> token pattern(s); see data.read_records
 _MODEL_RECORDS = {
-    "template": "str", "input_dim": "int", "dense_head": "int", "bias_flag": "int",
+    "template": "str", "input_dim": "int", "dense_head": "flag", "bias_flag": "int",
     "seed": "int", "layers": "int",
-    "layer": "# fan_in int units int dr_layers int qubits_per_edge int entangle int",
-    "edge": "# # # int hex*",
+    "layer": "# fan_in int units int dr_layers int qubits_per_edge int entangle flag",
+    "edge": "# # # flag hex*",
     "norm": "unfitted | # hex hex",
     "dense": "hex hex",
 }
@@ -510,12 +553,12 @@ def load_model(path) -> Model:
         recs[name][()][0][0] for name in _SCALARS[1:6])
     template = read("template", (), _template_parse)
     check_records(recs, {"layer": (n_layers,)}, f"layers {n_layers}", end, _fail)
-    layers = [read("layer", (k,), lambda v: LayerSpec(*v[:4], bool(v[4])))
+    layers = [read("layer", (k,), lambda v: LayerSpec(*v))
               for k in range(n_layers)]
     # the architecture's own rules (the layer chain, one final unit,
     # bias_flag, input_dim) fail at the layers record
     spec = read("layers", (), lambda _: NetworkSpec(
-        input_dim, layers, bool(dense_head), bias_flag, seed, template))
+        input_dim, layers, dense_head, bias_flag, seed, template))
 
     unfitted = () in recs["norm"]
     check_records(recs, {"edge": (n_layers, lambda k: layers[k].fan_in,
@@ -532,7 +575,7 @@ def load_model(path) -> Model:
     thetas = [np.zeros(_theta_shape(layer, P)) for layer in layers]
     active = [np.ones((layer.fan_in, layer.units), dtype=bool) for layer in layers]
     for (k, i, u), ((flag, angles), _) in recs["edge"].items():
-        active[k][i, u] = bool(flag)
+        active[k][i, u] = flag
         thetas[k][:, i, u] = np.reshape(angles, thetas[k][:, i, u].shape)
     input_norm = None if unfitted else np.array(
         [read("norm", (i,), _norm) for i in range(spec.input_dim)])

@@ -477,6 +477,31 @@ class TestReport:
                                           "degree", "r_squared"]
         assert len(rows) == 1 + len(rep.edges)
 
+    def test_coeffs_csv_sized_by_fitted_degrees(self, tmp_path):
+        # a loaded report's max_degree is a bound, not a width: the table
+        # pads only up to the largest degree actually fitted
+        m = init_model(spec_from_shape([2, 1], dr_layers=1, seed=0))
+        m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
+        rep = interpret.report(m, plain_dataset(2))
+        p = tmp_path / "report.txt"
+        interpret.save_report(rep, p)
+        text = p.read_text()
+        settings = f"settings grid {rep.grid_size} max_degree {rep.max_degree} "
+        assert settings in text
+        p.write_text(text.replace(settings, "settings grid 2000001 max_degree 2000000 "))
+        loaded = interpret.load_report(p)
+        out = tmp_path / "coeffs.csv"
+        tracemalloc.start()
+        try:
+            interpret.save_coeffs_csv(loaded, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        header = out.read_text().splitlines()[0].split(",")
+        width = max(e.fit.degree for e in rep.edges) + 1
+        assert header[6:] == [f"c{d}" for d in range(width)]
+
     def test_pruned_edges_skip_fit(self):
         spec = spec_from_shape([2, 2, 1], dr_layers=2, seed=2)
         m = init_model(spec)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quirk import network
+from quirk.data import Dataset
 from quirk.dr import DEFAULT_TEMPLATE, SU2_TEMPLATE, GateTemplate, _forward, _grad, _series
 from quirk.network import (LayerSpec, Model, ModelFormatError,
                            ModelVersionError, NetworkSpec, fit_input_norm,
@@ -475,6 +478,27 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=rf"^line \d+: .*{match}"):
             load_model(p)
 
+    @pytest.mark.parametrize("record,at,flag", [
+        ("dense_head ", 1, "7"),
+        ("layer 0 ", 11, "2"),
+        ("edge 0 1 0 ", 4, "9"),
+        ("edge 0 0 1 ", 4, "-0"),
+    ])
+    def test_flag_field_takes_only_0_or_1(self, tmp_path, record, at, flag):
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 2, 1), dr_layers=1, dense=True, qubits_per_edge=2,
+                               entangle=True), p)
+        lines = p.read_text().splitlines()
+        no = next(n for n, ln in enumerate(lines) if ln.startswith(record))
+        toks = lines[no].split()
+        assert toks[at] in ("0", "1")
+        toks[at] = flag
+        lines[no] = " ".join(toks)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError,
+                           match=rf"^line {no + 1}: .*expected a flag 0 or 1, got '{flag}'"):
+            load_model(p)
+
     def test_hex_overflow_names_its_line(self, tmp_path):
         p = tmp_path / "m.txt"
         save_model(small_model((2, 1), dr_layers=1, dense=True), p)
@@ -587,18 +611,93 @@ def test_compiled_series_cache_is_safe(case):
     network_forward(X, m)  # compiles every layer
 
     def fresh_output():
-        _series.cache_clear()
+        network._compile.cache_clear()
         return network_forward(X, m.copy()).tobytes()
 
     k = int(rng.integers(len(m.thetas)))
     m.thetas[k] += 0.25  # in place, as Adam updates
     assert network_forward(X, m).tobytes() == fresh_output()
+    # in place, as prune() cascades into edge_active[k + 1]
     m.edge_active[k][tuple(rng.integers(m.edge_active[k].shape))] ^= True
     assert network_forward(X, m).tobytes() == fresh_output()
-    layer = m.spec.layers[k]
-    _, c, J = _series(m.thetas[k], layer.qubits_per_edge, layer.entangle,
-                      m.spec.template)
-    with pytest.raises(ValueError, match="read-only"):
-        c[...] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        J[...] = 0.0
+    for _, c, J in network._compiled(m.spec.layers, m.spec.template, m.thetas,
+                                     m.edge_active):
+        with pytest.raises(ValueError, match="read-only"):
+            c[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            J[...] = 0.0
+
+
+@st.composite
+def _merged_networks(draw):
+    # layers of equal wiring merge into one compile; "ry-only" has P = 0
+    m, rng = draw(_networks())
+    if draw(st.booleans()):
+        spec = m.spec
+        layers = tuple(dataclasses.replace(layer, dr_layers=spec.layers[0].dr_layers)
+                       for layer in spec.layers)
+        m2 = init_model(dataclasses.replace(spec, layers=layers))
+        m2.edge_active, m2.input_norm = m.edge_active, m.input_norm
+        m = m2
+    return m, rng
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(case=_merged_networks())
+def test_merged_compile_equals_lone_compile(case):
+    # each layer's part of the network's one compile is bit-equal to
+    # compiling that layer alone, with dead edges zeroed
+    m, _ = case
+    series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
+                               m.edge_active)
+    for layer, thetas, active, (K, c, J) in zip(m.spec.layers, m.thetas,
+                                                m.edge_active, series):
+        K1, c1, J1 = _series(thetas, layer.qubits_per_edge, layer.entangle,
+                             m.spec.template)
+        assert K == K1 and c.shape == c1.shape and J.shape == J1.shape
+        assert c[active].tobytes() == c1[active].tobytes()
+        assert J[:, active].tobytes() == J1[:, active].tobytes()
+        assert not c[~active].any() and not J[:, ~active].any()
+
+
+def _count_series(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _series(*args, **kwargs)
+
+    network._compile.cache_clear()
+    monkeypatch.setattr(network, "_series", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape,dr_layers,qubits,compiles", [
+    ((2, 2, 1), 3, 1, 1),        # both layers share their wiring
+    ((4, 2, 1), (2, 1), 2, 2),   # different depths compile apart
+])
+def test_one_compile_per_wiring_per_step(monkeypatch, shape, dr_layers, qubits,
+                                         compiles):
+    m = small_model(shape, dr_layers=dr_layers, qubits_per_edge=qubits,
+                    entangle=qubits > 1)
+    m.edge_active[0][0, 0] = False
+    X = np.random.default_rng(0).uniform(0, 1, (7, shape[0]))
+    calls = _count_series(monkeypatch)
+    network_backward(X, np.zeros(7), m)
+    network_forward(X, m)
+    network_forward(X[0], m)
+    assert len(calls) == compiles
+
+
+def test_cold_train_compiles_once_per_step(monkeypatch):
+    # each step's backward pass misses the memo and compiles both layers in
+    # one call; its validation forward hits
+    from quirk.train import TrainConfig, train
+    rng = np.random.default_rng(11)
+    X = rng.uniform(0, 1, (60, 1))
+    ds = Dataset(X, np.sin(X[:, 0]), columns=("x", "y")).split(seed=11)
+    calls = _count_series(monkeypatch)
+    _, hist = train(ds, spec_from_shape([1, 2, 1], dr_layers=2, seed=0),
+                    TrainConfig(max_steps=12, seed=0, early_stop_patience=12))
+    info = network._compile.cache_info()
+    assert len(hist.steps) == len(calls) == info.misses == info.hits == 12
