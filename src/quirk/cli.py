@@ -257,22 +257,15 @@ def _build_spec(cfg, input_dim: int):
             f"[model] shape starts with {shape[0]} inputs but the dataset "
             f"has {input_dim} feature(s)")
     try:
-        return spec_from_shape(shape, dr_layers=m["dr_layers"],
-                               dense_head=m["dense_head"], bias_flag=m["bias_flag"],
-                               seed=m["seed"], qubits_per_edge=m["qubits_per_edge"],
-                               entangle=m["entangle"], template=m["template"])
+        return spec_from_shape(shape, **{k: v for k, v in m.items()
+                                         if k not in ("shape", "hidden")})
     except ValueError as exc:
         raise ConfigError(f"[model] {exc}")
 
 
 def _train_config(cfg) -> TrainConfig:
-    t = cfg["train"]
     try:
-        return TrainConfig(learning_rate=t["learning_rate"], beta1=t["beta1"],
-                           beta2=t["beta2"], epsilon=t["epsilon"],
-                           batch_size=t["batch_size"], max_steps=t["max_steps"],
-                           seed=t["seed"],
-                           early_stop_patience=t["early_stop_patience"])
+        return TrainConfig(**cfg["train"])
     except ValueError as exc:
         raise ConfigError(f"[train] {exc}") from exc
 

@@ -9,10 +9,10 @@ The readout is <Z> of the final state, a smooth function of x in [-1, 1].
 An n-qubit edge runs every gate of a layer on each qubit (with its own
 angles), optionally followed by a ring of CNOTs, and reads <Z> on qubit 0.
 Gradients with respect to every angle (and x itself) are computed in one
-adjoint reverse sweep that undoes each gate on the final state as it goes,
-so only two states are ever live and the cost is O(L) per sample; the
-parameter-shift rule exists in the test suite as an independent oracle,
-not here.
+adjoint reverse sweep that undoes each gate on the final state and its
+adjoint together (stacked on one axis), so no per-gate state is stored and
+the cost is O(L) per sample; the parameter-shift rule exists in the test
+suite as an independent oracle, not here.
 
 Internally everything is vectorized: the kernel accepts an input array of
 any shape together with a stacked theta array ``(L, ..., P)`` (one qubit)
@@ -162,7 +162,8 @@ def _clamp_domain(xs: np.ndarray, clamp: bool) -> np.ndarray:
 # An n-qubit state is a list of 2^n complex amplitude arrays (qubit 0 is the
 # most significant bit of the list index), each broadcast over the batch, so
 # a gate is a handful of broadcast multiplies per amplitude pair and a CNOT
-# only reorders the list.
+# only reorders the list.  The reverse sweep keeps the same list, with each
+# amplitude holding (psi_i, lam_i) stacked on a new leading axis.
 
 
 def _gate_coeffs(kind: str, a):
@@ -273,24 +274,23 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
     ops = _ops(n, entangle, template, thetas.shape[0])
     f = _z0(_sweep(psi, ops, xs, thetas))
 
-    # reverse sweep: lam starts as Z_0 psi_N; undoing gate k with G_k^dagger
-    # on both lam and psi takes psi_{k+1} back to psi_k, so no per-gate state
-    # is stored.  The derivative through gate k is Im <lam | P_k | psi_{k+1}>
+    # reverse sweep over state[i] = (psi_i, lam_i), lam starting as Z_0 psi_N:
+    # undoing gate k with G_k^dagger takes psi_{k+1} back to psi_k, and the
+    # derivative through gate k is Im <lam | P_k | psi_{k+1}>
     half = len(psi) // 2
-    lam = psi[:half] + [-s for s in psi[half:]]
+    state = [np.stack((s, s if i < half else -s)) for i, s in enumerate(psi)]
     dx = np.zeros(batch)
     encode = {}
     dtheta = np.zeros(thetas.shape[:1] + batch
                       + (thetas.shape[-1:] if n == 1 else thetas.shape[-2:]))
     for kind, index, pairs in reversed(ops):
         if kind == "cnot":  # pairs holds the inverse permutation
-            lam = [lam[i] for i in pairs]
-            psi = [psi[i] for i in pairs]
+            state = [state[i] for i in pairs]
             continue
         g = None
         for i, j in pairs:
-            p0, p1 = _pauli_apply(kind, psi[i], psi[j])
-            t = np.conj(lam[i]) * p0 + np.conj(lam[j]) * p1
+            p0, p1 = _pauli_apply(kind, state[i][0], state[j][0])
+            t = np.conj(state[i][1]) * p0 + np.conj(state[j][1]) * p1
             g = t if g is None else g + t
         g = g.imag
         if index is not None:
@@ -302,8 +302,7 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
                 encode[kind] = _gate_coeffs(kind, np.negative(xs))
             coeffs = encode[kind]
         for i, j in pairs:
-            lam[i], lam[j] = _gate_apply(kind, coeffs, lam[i], lam[j])
-            psi[i], psi[j] = _gate_apply(kind, coeffs, psi[i], psi[j])
+            state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
     return f, dx, dtheta
 
 
@@ -323,29 +322,24 @@ def _dft(K: int) -> np.ndarray:
     return D
 
 
-def _series(thetas, n: int, entangle: bool, template: GateTemplate, live=None):
-    """Compile the edges of stacked ``thetas`` (L, ..., P) or (L, ..., n, P)
-    to their exact Fourier series.
+def _series(thetas: list, n: int, entangle: bool, template: GateTemplate,
+            live: list):
+    """Compile the live edges of a list of stacked ``thetas``, each
+    (L, ..., P) or (L, ..., n, P) and all sharing L and the trailing axes
+    (say, the layers of a network with the same wiring), to their exact
+    Fourier series.  ``live`` holds one boolean mask per stack over its edge
+    axes.
 
-    Returns (K, c, J): the degree K, the coefficients c (..., 2K+1) over the
-    basis [1, cos kx (k = 1..K), sin kx (k = 1..K)], and their Jacobian
-    J = dc/dthetas, shaped thetas.shape + (2K+1,).
-
-    ``thetas`` may also be a list of stacks sharing L and the trailing axes
-    (say, the layers of a network with the same wiring), with ``live`` one
-    boolean mask per stack over its edge axes; c and J are then lists, one
-    entry per stack.  Dead edges are left out of the sweep and get c = 0 and
-    J = 0.  All live edges of all stacks are compiled in one adjoint sweep
-    over the 2K+1 nodes, laid out on one flat edge axis.  The DFT then runs
-    on each stack in its own shape, because a matrix product's rounding can
-    depend on its width: each stack's c and J are bit-equal to compiling it
-    alone.  The results are read-only.
+    Returns (K, cs, Js): the degree K and, one entry per stack, the
+    coefficients c (..., 2K+1) over the basis [1, cos kx (k = 1..K),
+    sin kx (k = 1..K)] and their Jacobian J = dc/dthetas, shaped
+    thetas.shape + (2K+1,).  Dead edges are left out of the sweep and get
+    c = 0 and J = 0.  All live edges of all stacks are compiled in one
+    adjoint sweep over the 2K+1 nodes, laid out on one flat edge axis.  The
+    DFT then runs on each stack in its own shape, because a matrix product's
+    rounding can depend on its width: each stack's c and J are bit-equal to
+    compiling it alone.  The results are read-only.
     """
-    one = not isinstance(thetas, list)
-    if one:  # every edge live
-        thetas = [np.asarray(thetas, dtype=np.float64)]
-        live = [np.ones(thetas[0].shape[1:thetas[0].ndim - (1 if n == 1 else 2)],
-                        dtype=bool)]
     L = thetas[0].shape[0]
     K = sum(1 for _, s in template.gates if s == "input") * n * L
     D = _dft(K)
@@ -370,7 +364,7 @@ def _series(thetas, n: int, entangle: bool, template: GateTemplate, live=None):
         c.flags.writeable = J.flags.writeable = False
         cs.append(c)
         Js.append(J)
-    return (K, cs[0], Js[0]) if one else (K, cs, Js)
+    return K, cs, Js
 
 
 # --- public ops -------------------------------------------------------------

@@ -6,8 +6,9 @@ low-degree polynomial.  ``report`` reads the samples from each layer's
 compiled Fourier series (the evaluator the network itself runs), not from
 the circuit; ``sample_edge`` simulates one edge's circuit and stays as the
 independent reference for plots and tests.  Composing those polynomials
-through the (purely affine) rescale maps and the dense head gives a
-classical surrogate whose error against the model is measured directly.
+through the rescale maps (affine, then clamped to [0, pi]) and the dense
+head gives a classical surrogate whose error against the model is measured
+directly.
 
 Fits run on a Chebyshev basis over t = 2*x/pi - 1 for conditioning; reported
 coefficients are monomials in t (ascending degree).  Keep that variable
@@ -200,7 +201,6 @@ def surrogate_forward(report: InterpretReport, raw_input) -> np.ndarray:
                     v[:, u] += fit(t[:, i])
         if k < n_layers - 1:
             h = rescale(v, np.asarray(report.divisors[k]), b=report.bias_flag)
-            h = np.clip(h, 0.0, np.pi)
     out = v[:, 0]
     if report.dense is not None:
         out = report.dense[0] * out + report.dense[1]

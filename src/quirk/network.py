@@ -26,7 +26,6 @@ nothing, is not trained, and is not counted.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
@@ -232,21 +231,17 @@ def apply_input_norm(norm: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def rescale(values, fan_in, b: int = 0):
-    """Map unit sums from [-|I|, |I|] back into the encoding domain:
-    ((v/|I|) + (1-b)) / 2 * pi.  ``fan_in`` may be a per-unit array (pruned
-    layers divide by each unit's surviving edge count).  Out-of-range values
-    are clamped with a warning."""
+    """The inter-layer map: unit sums v, clamped to [-|I|, |I|], go to
+    ((v/|I|) + (1-b)) / 2 * pi, clipped to the encoding domain [0, pi].
+    ``fan_in`` may be a per-unit array (pruned layers divide by each unit's
+    surviving edge count).  The slope is pi / (2|I|) where the result lies
+    inside (0, pi) and 0 where the clip binds."""
     values = np.asarray(values, dtype=np.float64)
     cap = np.asarray(fan_in, dtype=np.float64)
     if np.any(cap < 1):
         raise ValueError("fan_in must be >= 1")
-    over = np.abs(values) > cap
-    if np.any(over):
-        warnings.warn(
-            f"{int(np.count_nonzero(over))} value(s) outside +-fan_in were clamped "
-            "before rescaling", RuntimeWarning, stacklevel=2)
-        values = np.clip(values, -cap, cap)
-    return ((values / cap) + (1 - b)) / 2.0 * np.pi
+    values = np.clip(values, -cap, cap)
+    return np.clip(((values / cap) + (1 - b)) / 2.0 * np.pi, 0.0, np.pi)
 
 
 def _unit_divisors(active: np.ndarray) -> np.ndarray:
@@ -367,9 +362,9 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
 
 def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     """Shared forward: returns (yhat (B,), caches).  caches[k] holds the
-    layer's unit sums, edge values and Fourier basis (None unless
-    ``want_grads``; see _layer_eval), its compiled coefficients and their
-    Jacobian (see _compiled), plus the rescale divisors."""
+    layer's unit sums, edge values, compiled coefficients and Jacobian (see
+    _layer_eval, _compiled) and, with ``want_grads``, its Fourier basis and
+    the slope of the rescale after it (see rescale); else the basis is None."""
     if model.input_norm is None:
         raise RuntimeError(
             "input normalization is unfitted; train first or set model.input_norm")
@@ -390,12 +385,10 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
         caches.append({"v": v, "f": f, "basis": basis, "c": c, "J": J})
         if k < n_layers - 1:
             div = _unit_divisors(model.edge_active[k])
-            caches[-1]["div"] = div
             h = rescale(v, div, b=model.spec.bias_flag)
-            # clip only binds when bias_flag = 1; clipped entries are flat,
-            # so the backward pass must drop their gradient
-            caches[-1]["open"] = (h > 0.0) & (h < np.pi)
-            h = np.clip(h, 0.0, np.pi)
+            if want_grads:
+                caches[-1]["slope"] = np.where((h > 0.0) & (h < np.pi),
+                                               np.pi / (2.0 * div), 0.0)
     out = v[:, 0]
     if model.spec.dense_head:
         out = model.dense_w * out + model.dense_b
@@ -423,8 +416,7 @@ def network_backward(X, y, model: Model):
     """Exact gradients of L = mean((yhat - y)^2) / 2 over the batch.
 
     Returns (loss, yhat, Gradients).  Chain rule runs through the dense head,
-    every DR edge, and the inter-layer rescales (derivative pi / (2 |I|) with
-    |I| the per-unit divisor).
+    every DR edge, and the inter-layer rescales (see rescale for their slope).
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     yhat, caches = _forward_pass(model, X, want_grads=True)
@@ -459,8 +451,7 @@ def network_backward(X, y, model: Model):
             H = np.matmul(c.transpose(0, 2, 1), cot.T).transpose(1, 0, 2)
             j = np.arange(1.0, K + 1)[:, None, None]
             dh = (j * (basis[1:K + 1] * H[K + 1:] - basis[K + 1:] * H[1:K + 1])).sum(axis=0)
-            div = caches[k - 1]["div"]
-            cot = dh.T * (np.pi / (2.0 * div)) * caches[k - 1]["open"]
+            cot = dh.T * caches[k - 1]["slope"]
     return loss, yhat, grads
 
 

@@ -168,13 +168,14 @@ def test_criterion_3_range_invariants():
             live = model.edge_active[k].sum(axis=0)
             assert np.all(np.abs(cache["v"]) <= live[None, :] + 1e-12), \
                 "unit sum left [-|I|,|I|]"
-            if "div" in cache:
-                h = rescale(cache["v"], cache["div"], b=bias)
-                if bias == 0:
-                    assert np.all((h >= -1e-12) & (h <= np.pi + 1e-12)), \
-                        "rescale left [0,pi]"
-                h = np.clip(h, 0.0, np.pi)
+            if k < len(caches) - 1:
+                div = np.maximum(live, 1).astype(np.float64)
+                h = rescale(cache["v"], div, b=bias)
                 assert np.all((h >= 0.0) & (h <= np.pi)), "activation left [0,pi]"
+                if bias == 0:
+                    # unit sums stay inside +-|I|, so no clamp or clip binds
+                    assert h.tobytes() == (((cache["v"] / div) + 1) / 2.0
+                                           * np.pi).tobytes(), "rescale not affine"
     _line(3, "range invariants", t0, 30.0, True,
           f"{pairs} random model/input pairs, every layer in range")
 

@@ -1,4 +1,6 @@
 import argparse
+import dataclasses
+import inspect
 import os
 import xml.etree.ElementTree as ET
 
@@ -6,9 +8,11 @@ import numpy as np
 import pytest
 
 from quirk.cli import (SCHEMA, ConfigError, _build_spec, _interpret_settings,
-                       _load_dataset, _train_config, load_cli_config, main,
-                       parse_config)
+                       _load_dataset, _train_config, default_config,
+                       load_cli_config, main, parse_config)
 from quirk.data import read_csv_rows
+from quirk.network import spec_from_shape
+from quirk.train import TrainConfig
 
 from mutations import escapes
 
@@ -85,6 +89,17 @@ batch_size = full
     def test_defaults_without_config(self, tmp_path):
         # every section has a complete default; only the equation is required
         assert main(["train", "--out", str(tmp_path / "o")]) == 2
+
+    def test_sections_are_their_consumers_arguments(self):
+        # [train] is TrainConfig field for field, and [model] less shape and
+        # hidden is spec_from_shape's keywords, defaults included
+        cfg = default_config()
+        assert cfg["train"] == dataclasses.asdict(TrainConfig())
+        params = list(inspect.signature(spec_from_shape).parameters.values())[1:]
+        model = {k: v for k, v in cfg["model"].items() if k not in ("shape", "hidden")}
+        assert sorted(model) == sorted(p.name for p in params)
+        assert all(model[p.name] == p.default for p in params
+                   if p.default is not p.empty)
 
 
 # every section and key of the schema, with small values

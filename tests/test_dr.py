@@ -251,7 +251,7 @@ _TEMPLATES = {"default": DEFAULT_TEMPLATE, "su2": SU2_TEMPLATE}
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
-@given(n=st.integers(1, 3), entangle=st.booleans(),
+@given(n=st.integers(1, MAX_QUBITS), entangle=st.booleans(),
        template=st.sampled_from(sorted(_TEMPLATES)), L=st.integers(1, 3),
        x=st.floats(0.0, np.pi), seed=st.integers(0, 2**32 - 1))
 def test_kernel_matches_oracles(n, entangle, template, L, x, seed):

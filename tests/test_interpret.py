@@ -2,6 +2,7 @@ import dataclasses
 import os
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -527,6 +528,28 @@ class TestReport:
                 interpret.surrogate_forward(rep, [[bad, 2.0]])
             with pytest.raises(ValueError, match="features must be finite"):
                 network_forward([[bad, 2.0]], m)
+
+    def test_surrogate_clamps_overshoot_silently(self):
+        # fitted polynomials may overshoot +-fan_in; the surrogate runs them
+        # through the same clamped map as the network, without a warning
+        def fit(*coefficients):
+            return interpret.PolyFit(np.array(coefficients), len(coefficients) - 1, 1.0)
+
+        edges = [interpret.EdgeReport((0, 0, 0), True, fit(3.0)),
+                 interpret.EdgeReport((0, 0, 1), True, fit(0.0, -2.5)),
+                 interpret.EdgeReport((1, 0, 0), True, fit(0.0, 1.0)),
+                 interpret.EdgeReport((1, 1, 0), True, fit(0.0, 1.0))]
+        rep = interpret.InterpretReport(
+            shape=(1, 2, 1), input_norm=np.array([[0.0, 1.0]]), edges=edges,
+            divisors=[[1.0, 1.0], [2.0]], bias_flag=0, dense=None,
+            surrogate_rmse=0.0, model_rmse=None)
+        x = np.linspace(-0.5, 1.5, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = interpret.surrogate_forward(rep, x[:, None])
+        # layer 1 reads t = 2h/pi - 1 = v clamped to +-1 back from each unit
+        t = 2.0 * np.clip(x, 0.0, 1.0) - 1.0
+        npt.assert_allclose(out, 1.0 + np.clip(-2.5 * t, -1.0, 1.0), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("index", range(3))
     def test_report_matches_circuit_readout(self, index):

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -134,10 +135,14 @@ class TestRescale:
         npt.assert_allclose(out[0, 0], np.pi)
         npt.assert_allclose(out[0, 1], 0.75 * np.pi)
 
-    def test_out_of_range_clamped_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="clamped"):
-            out = rescale(np.array([5.0]), 2.0)
-        npt.assert_allclose(out, np.pi)
+    def test_out_of_range_clamped_without_warning(self):
+        # v is clamped to +-|I| and the result to [0, pi], silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rescale(np.array([5.0, -5.0]), 2.0)
+            biased = rescale(np.array([5.0, -5.0]), 2.0, b=1)
+        npt.assert_array_equal(out, [np.pi, 0.0])
+        npt.assert_array_equal(biased, [np.pi / 2, 0.0])
 
     def test_fan_in_validated(self):
         with pytest.raises(ValueError, match="fan_in"):
@@ -563,7 +568,8 @@ def test_network_matches_oracles(case):
     for k, layer in enumerate(m.spec.layers):
         # the compiled series against the statevector kernel at random x
         wiring = (layer.qubits_per_edge, layer.entangle, m.spec.template)
-        K, c, J = _series(m.thetas[k], *wiring)
+        K, (c,), (J,) = _series([m.thetas[k]], *wiring,
+                                [np.ones(m.thetas[k].shape[1:3], dtype=bool)])
         x = rng.uniform(0, np.pi, (7, 1, 1))
         kx = np.arange(1, K + 1) * x[..., None]
         basis = np.concatenate([np.ones_like(kx[..., :1]), np.cos(kx), np.sin(kx)], -1)
@@ -652,8 +658,8 @@ def test_merged_compile_equals_lone_compile(case):
                                m.edge_active)
     for layer, thetas, active, (K, c, J) in zip(m.spec.layers, m.thetas,
                                                 m.edge_active, series):
-        K1, c1, J1 = _series(thetas, layer.qubits_per_edge, layer.entangle,
-                             m.spec.template)
+        K1, (c1,), (J1,) = _series([thetas], layer.qubits_per_edge, layer.entangle,
+                                   m.spec.template, [np.ones_like(active)])
         assert K == K1 and c.shape == c1.shape and J.shape == J1.shape
         assert c[active].tobytes() == c1[active].tobytes()
         assert J[:, active].tobytes() == J1[:, active].tobytes()
