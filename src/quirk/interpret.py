@@ -232,11 +232,14 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
     divisors = []
     series = _compiled(model.spec.layers, model.spec.template, model.thetas,
                        model.edge_active)
-    for k, (layer, (K, c, _)) in enumerate(zip(model.spec.layers, series)):
+    for k, (layer, blk) in enumerate(zip(model.spec.layers, series)):
         active = model.edge_active[k]
         divisors.append(_unit_divisors(active).tolist())
-        f = _layer_eval(np.repeat(xs[:, None], layer.fan_in, axis=1), K, c,
-                        want_grads=False)[1]
+        # only the live block is evaluated; pruned edges are not fitted
+        f = np.zeros((grid_size, layer.fan_in, layer.units))
+        f[(slice(None),) + blk.at] = _layer_eval(
+            np.repeat(xs[:, None], len(blk.c), axis=1), blk.K, blk.c,
+            want_grads=False)[1]
         for i in range(layer.fan_in):
             for u in range(layer.units):
                 fit = (fit_poly(EdgeFunctionSample((k, i, u), xs, f[:, i, u]),

@@ -21,13 +21,17 @@ that share their wiring (one statevector sweep over 2K+1 nodes for all their
 live edges, whatever the qubit count), so a training step compiles once in
 its backward pass and its validation forward is a hit.  ``edge_active``
 boolean masks support pruning: an inactive edge is not compiled, contributes
-nothing, is not trained, and is not counted.
+nothing, is not trained, and is not counted.  The memo also keeps each
+layer's live block, the inputs and units with a live edge, and every pass
+evaluates only that block, so a pruned edge costs nothing to serve or
+fine-tune; a fully live layer's block is the whole layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -246,7 +250,7 @@ def rescale(values, fan_in, b: int = 0):
 
 def _unit_divisors(active: np.ndarray) -> np.ndarray:
     # per-unit effective fan-in; dead units (no live edges) get 1 to avoid
-    # 0/0 -- their output is unused because downstream edges are also pruned
+    # 0/0 -- a dead unit reads v = 0
     counts = active.sum(axis=0).astype(np.float64)
     return np.maximum(counts, 1.0)
 
@@ -258,11 +262,44 @@ def _unit_divisors(active: np.ndarray) -> np.ndarray:
 _MEMO_STATES = 8
 
 
+class _Block(NamedTuple):
+    """One layer's live block, as ``_compiled`` keeps it.
+
+    ``ins`` are the inputs with a live edge and ``outs`` the units with one
+    (the last layer's one unit, the output, always); each is ``slice(None)``
+    when the whole axis is live, else an index array, and ``at`` indexes
+    the block on the layer's (input, unit) axes.  ``c`` is the block's
+    (|ins|, |outs|, 2K+1) coefficients and ``J`` their Jacobian on the live
+    inputs and every unit, (L, |ins|, units, [n,] P, 2K+1), since the
+    backward pass keeps the units axis whole (see network_backward).
+    ``div`` holds the divisors of the units the next layer reads.  ``feed``
+    is None when it reads exactly ``outs``; else it lists the columns of
+    [v, 0] it reads, for a dead unit reads v = 0.
+    """
+
+    K: int
+    ins: object
+    outs: object
+    at: tuple
+    c: np.ndarray
+    J: np.ndarray
+    div: np.ndarray
+    feed: object
+
+
+def _live(axis: np.ndarray):
+    return slice(None) if axis.all() else np.flatnonzero(axis)
+
+
 def _compiled(layers: tuple, template: GateTemplate, thetas, active) -> tuple:
-    """Each layer's compiled Fourier series (K, c, J) (see ``dr._series``),
-    dead edges' c and J zero.  Memoised on the content of the angles and
-    masks, not the arrays' identity, since optimizers and pruning update
-    them in place; the results are read-only."""
+    """Each layer's live block (see ``_Block``): the inputs and units with a
+    live edge, the block of the layer's compiled Fourier series (K, c, J)
+    (see ``dr._series``; dead edges inside the block have c = 0 and J = 0),
+    the divisors of the units the next layer reads and the map to them.
+    Pruned edges outside the block are neither compiled nor evaluated.
+    Memoised on the content of the angles and masks, not the arrays'
+    identity, since optimizers and pruning update them in place; the
+    results are read-only."""
     return _compile(layers, template,
                     tuple(np.asarray(t, dtype=np.float64).tobytes() for t in thetas),
                     tuple(np.asarray(a, dtype=bool).tobytes() for a in active))
@@ -272,34 +309,73 @@ def _compiled(layers: tuple, template: GateTemplate, thetas, active) -> tuple:
 def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple):
     # one dr._series call per group of layers sharing their wiring
     P = template.params_per_layer
+    plans = _live_blocks(layers, masks)
     groups = {}
     for k, layer in enumerate(layers):
         wiring = (layer.dr_layers, layer.qubits_per_edge, layer.entangle)
         groups.setdefault(wiring, []).append(k)
-    out = [None] * len(layers)
+    series = [None] * len(layers)
     for (_, n, entangle), ks in groups.items():
         K, cs, Js = _series(
             [np.frombuffer(angles[k]).reshape(_theta_shape(layers[k], P)) for k in ks],
-            n, entangle, template,
-            [np.frombuffer(masks[k], dtype=bool).reshape(layers[k].fan_in,
-                                                         layers[k].units)
-             for k in ks])
+            n, entangle, template, [plans[k][0] for k in ks])
         for k, c, J in zip(ks, cs, Js):
-            out[k] = (K, c, J)
-    return tuple(out)
+            series[k] = (K, c, J)
+    blocks = []
+    for (K, c, J), (_, ins, outs, at, div, feed) in zip(series, plans):
+        # sliced after the DFT, so entries stay bit-equal to a lone compile;
+        # a whole axis stays a plain slice, which copies nothing
+        if not (isinstance(ins, slice) and isinstance(outs, slice)):
+            c = c[at]
+            c.flags.writeable = False
+        if not isinstance(ins, slice):
+            J = J[:, ins]
+            J.flags.writeable = False
+        blocks.append(_Block(K, ins, outs, at, c, J, div, feed))
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=_MEMO_STATES)
+def _live_blocks(layers: tuple, masks: tuple) -> tuple:
+    """Per layer, what the edge masks alone decide (see ``_Block``): the
+    mask, ins, outs, at, div and feed.  Memoised apart from the angles,
+    which change every training step, while masks change only in pruning."""
+    masks = [np.frombuffer(m, dtype=bool).reshape(layer.fan_in, layer.units)
+             for m, layer in zip(masks, layers)]
+    plans = []
+    for k, m in enumerate(masks):
+        # the units the next layer reads; the last layer's one unit, the
+        # output, is always in its block
+        last = k + 1 == len(layers)
+        ins = _live(m.any(axis=1))
+        outs = slice(None) if last else _live(m.any(axis=0))
+        reads = slice(None) if last else _live(masks[k + 1].any(axis=1))
+        at = ((ins, outs) if isinstance(ins, slice) or isinstance(outs, slice)
+              else np.ix_(ins, outs))
+        have, want = np.arange(m.shape[1])[outs], np.arange(m.shape[1])[reads]
+        column = np.full(m.shape[1], have.size)  # the 0 after the block's v
+        column[have] = np.arange(have.size)
+        feed = None if np.array_equal(have, want) else column[want]
+        div = _unit_divisors(m)[reads]
+        for a in (div, feed):
+            if a is not None:
+                a.flags.writeable = False
+        plans.append((m, ins, outs, at, div, feed))
+    return tuple(plans)
 
 
 def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
-    """Evaluate one layer on normalized inputs h (B, fan_in) from its
-    compiled series: degree K and coefficients c (fan_in, units, 2K+1), dead
-    edges zeroed, as ``_compiled`` gives them.
+    """Evaluate one layer's live block on its normalized inputs h (B, |ins|)
+    from its compiled series: degree K and coefficients c (|ins|, |outs|,
+    2K+1), as ``_compiled`` gives them.  Pruned edges outside the block
+    cost nothing; a fully live layer's block is the whole layer.
 
     Edge (i, u) reads f(x) = c_0 + sum_k c_k cos kx + c_{K+k} sin kx.  The
     basis depends on the input only.  f accumulates in a fixed loop of
     broadcast multiply-adds over rows, and unit sums add the inputs in
     order, so a row gets the same arithmetic in any batch.  Returns
-    (unit_sums (B, units), edge_vals (B, fan_in, units), basis
-    (2K+1, fan_in, B) or None unless ``want_grads``).
+    (unit_sums (B, |outs|), edge_vals (B, |ins|, |outs|), basis
+    (2K+1, |ins|, B) or None unless ``want_grads``).
     """
     x = np.ascontiguousarray(h.T)
     cos1, sin1 = np.cos(x), np.sin(x)
@@ -323,18 +399,24 @@ def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
     # a readout <Z> lies in [-1, 1]; keep the series' rounding inside it
     np.minimum(f, 1.0, out=f)
     np.maximum(f, -1.0, out=f)
-    sums = f[0].copy()
+    sums = f[0].copy() if len(f) else np.zeros(f.shape[1:])  # all edges pruned
     for i in range(1, c.shape[0]):
         sums += f[i]
     return sums.T, f.transpose(2, 0, 1), basis
+
+
+def _finite_features(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
 
 
 def layer_forward(inputs, thetas, active=None, entangle: bool = False,
                   template: GateTemplate = DEFAULT_TEMPLATE):
     """Unit sums of one layer: out[u] = sum_i DR(inputs[i]; thetas[:, i, u]).
 
-    ``inputs`` is (fan_in,) or (B, fan_in); ``thetas`` is stacked
-    (L, fan_in, units, P) (single qubit) or (L, fan_in, units, n, P).
+    ``inputs`` is (fan_in,) or (B, fan_in), finite; ``thetas`` is stacked
+    (L, fan_in, units, P) (single qubit) or (L, fan_in, units, n, P).  A unit
+    with no live edge sums to 0.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -345,6 +427,7 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
     fan_in, units = thetas.shape[1], thetas.shape[2]
     if h.shape[1] != fan_in:
         raise ValueError(f"input length {h.shape[1]} != fan_in {fan_in}")
+    _finite_features(h)
     if thetas.shape[-1] != template.params_per_layer:
         raise ValueError(f"thetas last dim {thetas.shape[-1]} does not match "
                          f"template params_per_layer={template.params_per_layer}")
@@ -355,16 +438,19 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
               else np.asarray(active, dtype=bool))
     if active.shape != (fan_in, units):
         raise ValueError(f"active shape {active.shape} != {(fan_in, units)}")
-    K, c, _ = _compiled((layer,), template, [thetas], [active])[0]
-    sums = _layer_eval(h, K, c, want_grads=False)[0]
+    blk = _compiled((layer,), template, [thetas], [active])[0]
+    sums = np.zeros((h.shape[0], units))
+    sums[:, blk.outs] = _layer_eval(h[:, blk.ins], blk.K, blk.c, want_grads=False)[0]
     return sums[0] if single else sums
 
 
 def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
-    """Shared forward: returns (yhat (B,), caches).  caches[k] holds the
-    layer's unit sums, edge values, compiled coefficients and Jacobian (see
-    _layer_eval, _compiled) and, with ``want_grads``, its Fourier basis and
-    the slope of the rescale after it (see rescale); else the basis is None."""
+    """Shared forward over each layer's live block: returns (yhat (B,),
+    caches).  caches[k] holds the layer's block record ``blk`` (see
+    _compiled) and its unit sums and edge values on the block (see
+    _layer_eval) and, with ``want_grads``, its Fourier basis and the slope
+    of the rescale after it on the units the next layer reads (see
+    rescale); else the basis is None."""
     if model.input_norm is None:
         raise RuntimeError(
             "input normalization is unfitted; train first or set model.input_norm")
@@ -372,23 +458,23 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     if X.shape[1] != model.spec.input_dim:
         raise ValueError(
             f"expected {model.spec.input_dim} features, got {X.shape[1]}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-    h = apply_input_norm(model.input_norm, X)
+    _finite_features(X)
     caches = []
-    v = None
     n_layers = len(model.spec.layers)
     series = _compiled(model.spec.layers, model.spec.template, model.thetas,
                        model.edge_active)
-    for k, (K, c, J) in enumerate(series):
-        v, f, basis = _layer_eval(h, K, c, want_grads)
-        caches.append({"v": v, "f": f, "basis": basis, "c": c, "J": J})
+    ins = series[0].ins
+    h = apply_input_norm(model.input_norm[ins], X[:, ins])
+    for k, blk in enumerate(series):
+        v, f, basis = _layer_eval(h, blk.K, blk.c, want_grads)
+        caches.append({"blk": blk, "v": v, "f": f, "basis": basis})
+        if blk.feed is not None:
+            v = np.pad(v, ((0, 0), (0, 1)))[:, blk.feed]
         if k < n_layers - 1:
-            div = _unit_divisors(model.edge_active[k])
-            h = rescale(v, div, b=model.spec.bias_flag)
+            h = rescale(v, blk.div, b=model.spec.bias_flag)
             if want_grads:
                 caches[-1]["slope"] = np.where((h > 0.0) & (h < np.pi),
-                                               np.pi / (2.0 * div), 0.0)
+                                               np.pi / (2.0 * blk.div), 0.0)
     out = v[:, 0]
     if model.spec.dense_head:
         out = model.dense_w * out + model.dense_b
@@ -413,14 +499,17 @@ class Gradients:
 
 
 def network_backward(X, y, model: Model):
-    """Exact gradients of L = mean((yhat - y)^2) / 2 over the batch.
+    """Exact gradients of L = mean((yhat - y)^2) / 2 over a non-empty batch.
 
     Returns (loss, yhat, Gradients).  Chain rule runs through the dense head,
-    every DR edge, and the inter-layer rescales (see rescale for their slope).
+    every live block's DR edges, and the inter-layer rescales (see rescale
+    for their slope).  Gradients outside the blocks are exactly 0.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    yhat, caches = _forward_pass(model, X, want_grads=True)
     B = y.shape[0]
+    if B == 0:
+        raise ValueError("network_backward needs at least one row")
+    yhat, caches = _forward_pass(model, X, want_grads=True)
     if yhat.shape[0] != B:
         raise ValueError(f"got {yhat.shape[0]} inputs but {B} targets")
     res = yhat - y
@@ -436,22 +525,30 @@ def network_backward(X, y, model: Model):
     else:
         cot = r[:, None]
 
+    # the products below narrow the inputs axis to the block's, never the
+    # units axis: a narrower units axis would change their last bits (G
+    # runs as gemv, H drops terms from its sum at B = 1, and the einsum
+    # picks another inner loop), so cot spans every unit of layer k
     for k in range(len(model.spec.layers) - 1, -1, -1):
         cache = caches[k]
-        basis, c = cache["basis"], cache["c"]
+        blk, basis = cache["blk"], cache["basis"]
         # contract the cotangent with the basis first, so no per-sample
         # dtheta is ever built: G[i, u, m] = sum_b basis_m(h_bi) cot_bu
         # dead edges have J = 0, so they get no gradient
         G = np.matmul(basis.transpose(1, 0, 2), cot).transpose(0, 2, 1)
-        grads.thetas[k] = np.einsum("liu...k,iuk->liu...", cache["J"], G)
+        grads.thetas[k][:, blk.ins] = np.einsum("liu...k,iuk->liu...", blk.J, G)
         if k > 0:
             # dh_bi = sum_m basis'_m(h_bi) sum_u c_ium cot_bu, with
-            # (cos jx)' = -j sin jx and (sin jx)' = j cos jx; c is masked
-            K = basis.shape[0] // 2
+            # (cos jx)' = -j sin jx and (sin jx)' = j cos jx
+            K = blk.K
+            c = np.zeros(G.shape)
+            c[:, blk.outs] = blk.c
             H = np.matmul(c.transpose(0, 2, 1), cot.T).transpose(1, 0, 2)
             j = np.arange(1.0, K + 1)[:, None, None]
             dh = (j * (basis[1:K + 1] * H[K + 1:] - basis[K + 1:] * H[1:K + 1])).sum(axis=0)
-            cot = dh.T * caches[k - 1]["slope"]
+            # laid out like dh.T, units first: the layout steers the matmul
+            cot = np.zeros((model.spec.layers[k - 1].units, B)).T
+            cot[:, blk.ins] = dh.T * caches[k - 1]["slope"]
     return loss, yhat, grads
 
 

@@ -212,9 +212,13 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
 
 def _split(dataset: Dataset, config: TrainConfig):
     """(X_tr, y_tr, X_val, y_val): the dataset's own splits when present,
-    otherwise a 70/15/15 split seeded with config.seed."""
+    otherwise a 70/15/15 split seeded with config.seed.  Both must hold a
+    row."""
     if dataset.splits is None:
         dataset = dataset.split(config.seed)
+    for name in ("train", "val"):
+        if len(dataset.splits[name]) == 0:
+            raise ValueError(f"the {name} split is empty")
     return dataset.part("train") + dataset.part("val")
 
 
@@ -245,8 +249,12 @@ def edge_scores(model: Model, X_train) -> list:
     """Per-layer arrays (fan_in, units): std of each edge's DR output over
     the training inputs; inactive edges score NaN."""
     _, caches = _forward_pass(model, X_train, want_grads=False)
-    return [np.where(active, cache["f"].std(axis=0), np.nan)
-            for active, cache in zip(model.edge_active, caches)]
+    scores = []
+    for active, cache in zip(model.edge_active, caches):
+        s = np.full(active.shape, np.nan)
+        s[cache["blk"].at] = cache["f"].std(axis=0)
+        scores.append(np.where(active, s, np.nan))
+    return scores
 
 
 def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,

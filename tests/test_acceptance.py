@@ -166,15 +166,18 @@ def test_criterion_3_range_invariants():
         for k, cache in enumerate(caches):
             assert np.all(np.abs(cache["f"]) <= 1.0 + 1e-12), "DR output left [-1,1]"
             live = model.edge_active[k].sum(axis=0)
-            assert np.all(np.abs(cache["v"]) <= live[None, :] + 1e-12), \
+            # the block's unit sums at their units; a unit outside it sums to 0
+            v = np.zeros((X.shape[0], live.size))
+            v[:, cache["blk"].outs] = cache["v"]
+            assert np.all(np.abs(v) <= live[None, :] + 1e-12), \
                 "unit sum left [-|I|,|I|]"
             if k < len(caches) - 1:
                 div = np.maximum(live, 1).astype(np.float64)
-                h = rescale(cache["v"], div, b=bias)
+                h = rescale(v, div, b=bias)
                 assert np.all((h >= 0.0) & (h <= np.pi)), "activation left [0,pi]"
                 if bias == 0:
                     # unit sums stay inside +-|I|, so no clamp or clip binds
-                    assert h.tobytes() == (((cache["v"] / div) + 1) / 2.0
+                    assert h.tobytes() == (((v / div) + 1) / 2.0
                                            * np.pi).tobytes(), "rescale not affine"
     _line(3, "range invariants", t0, 30.0, True,
           f"{pairs} random model/input pairs, every layer in range")

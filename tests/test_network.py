@@ -1,6 +1,7 @@
 import dataclasses
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from quirk import network
 from quirk.data import Dataset
+from quirk.train import edge_scores
 from quirk.dr import DEFAULT_TEMPLATE, SU2_TEMPLATE, GateTemplate, _forward, _grad, _series
 from quirk.network import (LayerSpec, Model, ModelFormatError,
                            ModelVersionError, NetworkSpec, fit_input_norm,
@@ -216,6 +218,15 @@ class TestForward:
         with pytest.raises(ValueError, match="finite"):
             network_backward(np.array([[0.1, 0.2], [np.nan, 0.5]]), np.zeros(2), m)
 
+    def test_layer_forward_rejects_non_finite_inputs(self):
+        m = small_model((2, 2, 1), dr_layers=1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="features must be finite"):
+                network.layer_forward(np.array([bad, 0.5]), m.thetas[0])
+            with pytest.raises(ValueError, match="features must be finite"):
+                network.layer_forward(np.array([[0.1, 0.2], [0.5, bad]]), m.thetas[0],
+                                      m.edge_active[0])
+
     def test_pruned_edge_excluded_and_divisor_updates(self):
         m = small_model((2, 1, 1), dr_layers=1, seed=5)
         X = np.random.default_rng(3).uniform(0, 1, (9, 2))
@@ -294,6 +305,13 @@ class TestBackward:
             fd = central_diff(lambda v, i=idx: loss_at(v, i), flat[idx], h=1e-6)
             npt.assert_allclose(grads.thetas[0].ravel()[idx], fd,
                                 rtol=2e-5, atol=1e-9)
+
+    def test_empty_batch_rejected(self):
+        m = small_model((2, 2, 1), dr_layers=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one row"):
+                network_backward(np.zeros((0, 2)), np.zeros(0), m)
 
     def test_pruned_gradients_zero(self):
         m = small_model((2, 2, 1), dr_layers=2, seed=6)
@@ -582,6 +600,12 @@ def test_network_matches_oracles(case):
         npt.assert_allclose(np.einsum("biuk,iuk->biu", dbasis, c), dx, rtol=0, atol=1e-12)
         npt.assert_allclose(np.einsum("biuk,liu...k->lbiu...", basis, J), dth,
                             rtol=0, atol=1e-12)
+    _check_network_oracles(m, X, y, rng)
+
+
+def _check_network_oracles(m, X, y, rng):
+    """Outputs against the gate-by-gate oracle, gradients against central
+    differences of the loss (a few angles per layer, and the head)."""
     out = network_forward(X, m)
     npt.assert_allclose(out, [_oracle_network(m, x) for x in X], rtol=0, atol=1e-12)
 
@@ -609,6 +633,120 @@ def test_network_matches_oracles(case):
             npt.assert_allclose(getattr(grads, name), fd, rtol=1e-5, atol=1e-9)
 
 
+def _whole_layer_forward(m, X):
+    """The network evaluated over whole layers, as before live blocks: each
+    block's c put back in its layer's layout, dead edges zero, and every
+    unit rescaled by its own divisor."""
+    h = apply_input_norm(m.input_norm, X)
+    series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
+                               m.edge_active)
+    for k, (layer, blk) in enumerate(zip(m.spec.layers, series)):
+        c = np.zeros((layer.fan_in, layer.units, 2 * blk.K + 1))
+        c[blk.at] = blk.c
+        v = network._layer_eval(h, blk.K, c, want_grads=False)[0]
+        if k < len(series) - 1:
+            h = rescale(v, np.maximum(m.edge_active[k].sum(axis=0), 1.0),
+                        b=m.spec.bias_flag)
+    return m.dense_w * v[:, 0] + m.dense_b if m.spec.dense_head else v[:, 0]
+
+
+def _whole_layer_backward(m, X, y):
+    """Angle gradients over whole layers, as before live blocks: every
+    product spans every input and unit of its layer."""
+    h = apply_input_norm(m.input_norm, X)
+    series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
+                               m.edge_active)
+    caches = []
+    for k, (layer, blk) in enumerate(zip(m.spec.layers, series)):
+        c = np.zeros((layer.fan_in, layer.units, 2 * blk.K + 1))
+        c[blk.at] = blk.c
+        J = np.zeros(m.thetas[k].shape + (2 * blk.K + 1,))
+        J[:, blk.ins] = blk.J
+        v, _, basis = network._layer_eval(h, blk.K, c, want_grads=True)
+        slope = None
+        if k < len(series) - 1:
+            div = np.maximum(m.edge_active[k].sum(axis=0), 1.0)
+            h = rescale(v, div, b=m.spec.bias_flag)
+            slope = np.where((h > 0.0) & (h < np.pi), np.pi / (2.0 * div), 0.0)
+        caches.append((c, J, basis, slope))
+    w = m.dense_w if m.spec.dense_head else 1.0
+    cot = (((w * v[:, 0] + m.dense_b if m.spec.dense_head else v[:, 0]) - y)
+           / len(y) * w)[:, None]
+    grads = [None] * len(series)
+    for k in range(len(series) - 1, -1, -1):
+        c, J, basis, _ = caches[k]
+        G = np.matmul(basis.transpose(1, 0, 2), cot).transpose(0, 2, 1)
+        grads[k] = np.einsum("liu...k,iuk->liu...", J, G)
+        if k > 0:
+            K = series[k].K
+            H = np.matmul(c.transpose(0, 2, 1), cot.T).transpose(1, 0, 2)
+            j = np.arange(1.0, K + 1)[:, None, None]
+            dh = (j * (basis[1:K + 1] * H[K + 1:] - basis[K + 1:] * H[1:K + 1])).sum(axis=0)
+            cot = dh.T * caches[k - 1][3]
+    return grads
+
+
+def _check_live_blocks(m, rng, rows=6):
+    X = rng.uniform(0, 1, (rows, m.spec.input_dim))
+    y = rng.normal(size=rows)
+    out = network_forward(X, m)
+    assert out.tobytes() == _whole_layer_forward(m, X).tobytes()
+    assert np.array([network_forward(x, m) for x in X]).tobytes() == out.tobytes()
+    # a batch of one row takes other BLAS kernels
+    for batch in [slice(None)] + [slice(i, i + 1) for i in range(min(rows, 8))]:
+        _, _, grads = network_backward(X[batch], y[batch], m)
+        for g, whole in zip(grads.thetas, _whole_layer_backward(m, X[batch], y[batch])):
+            npt.assert_array_equal(g, whole)  # to the last bit
+    for g, active in zip(grads.thetas, m.edge_active):
+        assert not g[:, ~active].any()
+    for s, active in zip(edge_scores(m, X), m.edge_active):
+        npt.assert_array_equal(np.isnan(s), ~active)
+
+    # an all-live layer's block is the whole layer: the memo holds the
+    # compiler's own c and J, and the pass indexes them with plain slices
+    compiled = []
+
+    def recorded(*args):
+        K, cs, Js = _series(*args)
+        compiled.extend(cs + Js)
+        return K, cs, Js
+
+    network._compile.cache_clear()
+    with mock.patch.object(network, "_series", recorded):
+        series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
+                                   m.edge_active)
+    for k, (active, blk) in enumerate(zip(m.edge_active, series)):
+        whole = active.any(axis=1).all() and (
+            k == len(series) - 1 or active.any(axis=0).all())
+        assert whole == all(isinstance(a, slice) for a in blk.at)
+        assert whole == any(blk.c is a for a in compiled)
+        assert isinstance(blk.ins, slice) == any(blk.J is a for a in compiled)
+    _check_network_oracles(m, X[:6], y[:6], rng)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=_networks())
+def test_live_blocks_match_whole_layers(case):
+    # masks are random, not cascaded: units may be dead and still read
+    _check_live_blocks(*case)
+
+
+@pytest.mark.parametrize("shape,dead,rows", [
+    ((2, 3, 2, 1), {1: np.s_[:, :]}, 6),     # an all-dead hidden layer
+    ((2, 2, 1), {1: np.s_[:, :]}, 6),        # an all-dead last layer
+    ((3, 2, 1), {0: np.s_[:, 1]}, 6),        # a dead unit feeding a live edge
+    ((3, 3, 2, 1), {0: np.s_[1:, 0], 1: np.s_[:, 1]}, 6),
+    # wide layers and many rows take the BLAS kernels whose rounding
+    # depends on operand layout and width
+    ((6, 8, 4, 1), {0: np.s_[:, 5], 1: np.s_[:, 3]}, 300),
+])
+def test_live_blocks_on_dead_units(shape, dead, rows):
+    m = small_model(shape, dr_layers=2, seed=7, dense=True, bias_flag=1)
+    for k, where in dead.items():
+        m.edge_active[k][where] = False
+    _check_live_blocks(m, np.random.default_rng(3), rows)
+
+
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(case=_networks())
 def test_compiled_series_cache_is_safe(case):
@@ -626,12 +764,14 @@ def test_compiled_series_cache_is_safe(case):
     # in place, as prune() cascades into edge_active[k + 1]
     m.edge_active[k][tuple(rng.integers(m.edge_active[k].shape))] ^= True
     assert network_forward(X, m).tobytes() == fresh_output()
-    for _, c, J in network._compiled(m.spec.layers, m.spec.template, m.thetas,
-                                     m.edge_active):
-        with pytest.raises(ValueError, match="read-only"):
-            c[...] = 0.0
-        with pytest.raises(ValueError, match="read-only"):
-            J[...] = 0.0
+    for blk in network._compiled(m.spec.layers, m.spec.template, m.thetas,
+                                 m.edge_active):
+        for a in (blk.c, blk.J, blk.div):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+        if blk.feed is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                blk.feed[...] = 0
 
 
 @st.composite
@@ -651,16 +791,27 @@ def _merged_networks(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(case=_merged_networks())
 def test_merged_compile_equals_lone_compile(case):
-    # each layer's part of the network's one compile is bit-equal to
-    # compiling that layer alone, with dead edges zeroed
+    # each layer's block of the network's one compile is bit-equal to
+    # compiling that layer alone, and spans exactly its live inputs and units
     m, _ = case
     series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
                                m.edge_active)
-    for layer, thetas, active, (K, c, J) in zip(m.spec.layers, m.thetas,
-                                                m.edge_active, series):
+    for k, (layer, thetas, active, blk) in enumerate(zip(
+            m.spec.layers, m.thetas, m.edge_active, series)):
         K1, (c1,), (J1,) = _series([thetas], layer.qubits_per_edge, layer.entangle,
                                    m.spec.template, [np.ones_like(active)])
-        assert K == K1 and c.shape == c1.shape and J.shape == J1.shape
+        ins = np.flatnonzero(active.any(axis=1))
+        # the last layer's block always holds its one unit, the output
+        outs = np.flatnonzero(active.any(axis=0) | (k == len(series) - 1))
+        npt.assert_array_equal(np.arange(layer.fan_in)[blk.ins], ins)
+        npt.assert_array_equal(np.arange(layer.units)[blk.outs], outs)
+        assert blk.K == K1
+        assert blk.c.shape == (ins.size, outs.size, c1.shape[-1])
+        assert blk.J.shape == J1[:, ins].shape
+        c = np.zeros_like(c1)
+        c[blk.at] = blk.c
+        J = np.zeros_like(J1)
+        J[:, ins] = blk.J
         assert c[active].tobytes() == c1[active].tobytes()
         assert J[:, active].tobytes() == J1[:, active].tobytes()
         assert not c[~active].any() and not J[:, ~active].any()

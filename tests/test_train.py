@@ -311,3 +311,23 @@ def test_prune_cascade_invariants(case):
     if not lacks_inputs:
         npt.assert_array_equal(network_forward(ds.X, pruned),
                                network_forward(ds.X, model))
+
+
+@pytest.mark.parametrize("run", ["train", "prune"])
+@pytest.mark.parametrize("empty", ["train", "val"])
+def test_empty_split_rejected_by_name(run, empty):
+    # before any step: an empty train split used to fail in the normalizer
+    # fit, an empty val split only after a full backward step
+    X = np.random.default_rng(13).uniform(0, 1, (12, 1))
+    splits = {"train": np.arange(8), "val": np.arange(8, 10), "test": np.arange(10, 12)}
+    splits["test"] = np.concatenate([splits["test"], splits[empty]])
+    splits[empty] = np.array([], dtype=int)
+    ds = Dataset(X, np.sin(X[:, 0]), columns=("x", "y"), splits=splits)
+    spec = spec_from_shape([1, 1], dr_layers=1, seed=0)
+    model = init_model(spec)
+    model.input_norm = fit_input_norm(X)
+    with pytest.raises(ValueError, match=f"the {empty} split is empty"):
+        if run == "train":
+            train(ds, spec, TrainConfig(max_steps=2))
+        else:
+            prune(model, ds, tau=0.5, fine_tune_steps=2)
