@@ -10,10 +10,13 @@ through the rescale maps (affine, then clamped to [0, pi]) and the dense
 head gives a classical surrogate whose error against the model is measured
 directly.
 
-Fits run on a Chebyshev basis over t = 2*x/pi - 1 for conditioning; reported
-coefficients are monomials in t (ascending degree).  Keep that variable
-change in mind when reading a report: the printed affine input maps take raw
-features to x in [0, pi] first.
+``report`` fits all live edges of the network together, with one
+least-squares solve per degree over the edges still short of the R^2
+target; ``fit_poly`` is the same fitter called on one edge.  Fits run on a
+Chebyshev basis over t = 2*x/pi - 1 for conditioning; reported
+coefficients are monomials in t (ascending degree), degree + 1 of them.
+Keep that variable change in mind when reading a report: the printed affine
+input maps take raw features to x in [0, pi] first.
 """
 
 from __future__ import annotations
@@ -79,41 +82,91 @@ def _to_t(xs: np.ndarray) -> np.ndarray:
     return 2.0 * np.asarray(xs, dtype=np.float64) / np.pi - 1.0
 
 
-def _r_squared(ys: np.ndarray, residual_ss: float) -> float:
+def _r_squared(ys: np.ndarray, residual_ss) -> np.ndarray:
+    """R^2 of each row of ys (..., grid) given its residual sum of squares
+    (...); sums run along the contiguous grid axis, so a row's R^2 does not
+    depend on how many rows come with it."""
+    total_ss = np.sum((ys - ys.mean(axis=-1, keepdims=True)) ** 2, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(total_ss == 0.0, 0.0,
+                      np.fmax(0.0, 1.0 - residual_ss / total_ss))
     # essentially-zero residual is a perfect fit even when total_ss is also
     # rounding dust (constant data), where the ratio would be 0/0
-    scale = max(float(np.sum(ys**2)), 1.0)
-    if residual_ss <= 1e-24 * scale:
-        return 1.0
-    total_ss = float(np.sum((ys - ys.mean()) ** 2))
-    if total_ss == 0.0:
-        return 0.0
-    return max(0.0, 1.0 - residual_ss / total_ss)
+    scale = np.maximum(np.sum(ys**2, axis=-1), 1.0)
+    return np.where(residual_ss <= 1e-24 * scale, 1.0, r2)
 
 
-def fit_poly(sample: EdgeFunctionSample, max_degree: int = DEFAULT_MAX_DEGREE,
-             r2_target: float = DEFAULT_R2_TARGET) -> PolyFit:
-    """Smallest-degree polynomial reaching ``r2_target``, else the
-    ``max_degree`` fit.  Least squares on the Chebyshev basis; coefficients
-    returned as monomials in t."""
-    xs = np.asarray(sample.xs, dtype=np.float64)
-    ys = np.asarray(sample.ys, dtype=np.float64)
+def _mulx(c: np.ndarray) -> np.ndarray:
+    # numpy's polymulx on every column: t times each polynomial
+    out = np.empty((len(c) + 1,) + c.shape[1:])
+    out[0] = c[0] * 0
+    out[1:] = c
+    return out
+
+
+def _cheb2poly(c: np.ndarray) -> np.ndarray:
+    """numpy's ``cheb2poly`` recurrence, run on every column of c
+    (Chebyshev coefficients down axis 0) at once, with the same operations
+    in the same order.  Unlike numpy it trims no trailing zeros: a degree-d
+    column keeps its d + 1 monomial coefficients."""
+    n = len(c)
+    if n < 3:
+        return c.copy()
+    c0, c1 = c[-2:-1], c[-1:]
+    # i is the current degree of c1
+    for i in range(n - 1, 1, -1):
+        tmp = c0
+        c0 = -c1
+        c0[0] += c[i - 2]
+        c1 = _mulx(c1) * 2
+        c1[:len(tmp)] += tmp
+    out = _mulx(c1)
+    out[:len(c0)] += c0
+    return out
+
+
+def _fit_polys(xs: np.ndarray, ys: np.ndarray, max_degree: int,
+               r2_target: float) -> list:
+    """``fit_poly`` on every row of ys (E, grid) at once: one least-squares
+    solve per degree covers every row still short of ``r2_target``, and each
+    row keeps the first degree that reaches it, else ``max_degree``."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     if xs.size < max_degree + 1:
         raise ValueError(f"{xs.size} points cannot fix degree {max_degree}")
     if np.ptp(xs) == 0.0:
         raise ValueError("degenerate grid: all xs identical")
+    fits = [None] * len(ys)
+    todo = np.arange(len(ys))
     # the degree-d basis is the first d + 1 columns of the full one
     V_all = _cheb.chebvander(_to_t(xs), max_degree)
     for degree in range(max_degree + 1):
-        V = V_all[:, :degree + 1]
-        c_cheb = np.linalg.solve(V.T @ V, V.T @ ys)
-        r2 = _r_squared(ys, float(np.sum((V @ c_cheb - ys) ** 2)))
-        if r2 >= r2_target:
+        if not todo.size:
             break
-    return PolyFit(coefficients=_cheb.cheb2poly(c_cheb), degree=degree,
-                   r_squared=r2)
+        V = V_all[:, :degree + 1]
+        Y = ys[todo]
+        # coefficients down axis 0, one column per row of Y
+        c_cheb = np.linalg.solve(V.T @ V, V.T @ Y.T)
+        r2 = _r_squared(Y, np.sum((c_cheb.T @ V.T - Y) ** 2, axis=1))
+        done = (r2 >= r2_target) | (degree == max_degree)
+        if done.any():
+            coeffs = _cheb2poly(c_cheb[:, done])
+            for j, (row, r) in enumerate(zip(todo[done], r2[done])):
+                fits[row] = PolyFit(coefficients=coeffs[:, j].copy(),
+                                    degree=degree, r_squared=float(r))
+        todo = todo[~done]
+    return fits
+
+
+def fit_poly(sample: EdgeFunctionSample, max_degree: int = DEFAULT_MAX_DEGREE,
+             r2_target: float = DEFAULT_R2_TARGET) -> PolyFit:
+    """Smallest-degree polynomial reaching ``r2_target``, else the
+    ``max_degree`` fit.  Least squares on the Chebyshev basis; coefficients
+    returned as monomials in t, degree + 1 of them."""
+    return _fit_polys(sample.xs, np.asarray(sample.ys, dtype=np.float64)[None],
+                      max_degree, r2_target)[0]
 
 
 @dataclass
@@ -222,30 +275,30 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
     against the model.  Each layer's edges are sampled on the grid in one
     evaluation of its compiled Fourier series, read from the same memo the
     network's forward pass uses, so the fits see exactly the function the
-    model serves.  ``dataset`` supplies the evaluation inputs
-    (the test split when one is attached, otherwise all rows)."""
+    model serves.  The live edges of all layers are then fitted together,
+    one least-squares solve per degree (see ``_fit_polys``).  ``dataset``
+    supplies the evaluation inputs (the test split when one is attached,
+    otherwise all rows)."""
     if model.input_norm is None:
         raise RuntimeError("model has no fitted input normalization")
     check_settings(grid_size, max_degree)
     xs = np.linspace(0.0, np.pi, grid_size)
-    edges = []
     divisors = []
+    samples = []  # one row per live edge, in (layer, input, unit) order
     series = _compiled(model.spec.layers, model.spec.template, model.thetas,
                        model.edge_active)
-    for k, (layer, blk) in enumerate(zip(model.spec.layers, series)):
-        active = model.edge_active[k]
-        divisors.append(_unit_divisors(active).tolist())
-        # only the live block is evaluated; pruned edges are not fitted
-        f = np.zeros((grid_size, layer.fan_in, layer.units))
-        f[(slice(None),) + blk.at] = _layer_eval(
-            np.repeat(xs[:, None], len(blk.c), axis=1), blk.K, blk.c,
-            want_grads=False)[1]
-        for i in range(layer.fan_in):
-            for u in range(layer.units):
-                fit = (fit_poly(EdgeFunctionSample((k, i, u), xs, f[:, i, u]),
-                                max_degree, r2_target) if active[i, u] else None)
-                edges.append(EdgeReport(edge_id=(k, i, u),
-                                        active=bool(active[i, u]), fit=fit))
+    for k, blk in enumerate(series):
+        divisors.append(_unit_divisors(model.edge_active[k]).tolist())
+        # only the live block is evaluated; its edge values come back
+        # (grid, |ins|, |outs|) over a grid-innermost array
+        f = _layer_eval(np.repeat(xs[:, None], len(blk.c), axis=1), blk.K,
+                        blk.c, want_grads=False)[1]
+        samples.append(f.transpose(1, 2, 0)[model.edge_active[k][blk.at]])
+    fits = iter(_fit_polys(xs, np.concatenate(samples), max_degree, r2_target))
+    edges = [EdgeReport(edge_id=(k, i, u), active=bool(live),
+                        fit=next(fits) if live else None)
+             for k, active in enumerate(model.edge_active)
+             for (i, u), live in np.ndenumerate(active)]
     if dataset.splits is not None:
         X_eval, y_eval = dataset.part("test")
     else:

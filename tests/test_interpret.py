@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quirk import interpret
 from quirk.data import generate
@@ -120,10 +122,13 @@ class TestFitPoly:
 
     def test_constant_selects_degree_zero(self):
         xs = np.linspace(0.0, np.pi, 20)
-        fit = interpret.fit_poly(
-            interpret.EdgeFunctionSample((0, 0, 0), xs, np.full(20, 0.7)))
-        assert fit.degree == 0
-        npt.assert_allclose(fit.coefficients, [0.7], rtol=1e-12)
+        # a constant's R^2 is exactly 1, so even a target of 1 is reached
+        for r2_target in (interpret.DEFAULT_R2_TARGET, 1.0):
+            fit = interpret.fit_poly(
+                interpret.EdgeFunctionSample((0, 0, 0), xs, np.full(20, 0.7)),
+                r2_target=r2_target)
+            assert fit.degree == 0
+            npt.assert_allclose(fit.coefficients, [0.7], rtol=1e-12)
 
     def test_cosine_degree_four_quality(self):
         # oracle: direct least-squares residual of the degree-4 fit
@@ -192,6 +197,63 @@ class TestFitPoly:
             coeffs, degree, r2 = per_degree_fit_poly(xs, ys, 6, r2_target)
             assert (fit.degree, fit.r_squared) == (degree, r2)
             assert fit.coefficients.tobytes() == coeffs.tobytes()
+
+    def test_zero_samples_keep_every_coefficient(self, tmp_path):
+        # numpy's cheb2poly trims trailing zeros, which left degree 6 with
+        # one coefficient: a fit the report reader rejects
+        xs = np.linspace(0.0, np.pi, 33)
+        fit = interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs,
+                                                              np.zeros(33)),
+                                 max_degree=6, r2_target=2.0)
+        assert fit.degree == 6
+        assert fit.coefficients.shape == (7,)
+        npt.assert_array_equal(fit.coefficients, 0.0)
+        rep = interpret.InterpretReport(
+            shape=(1, 1), input_norm=np.array([[0.0, 1.0]]),
+            edges=[interpret.EdgeReport((0, 0, 0), True, fit)], divisors=[[1.0]],
+            bias_flag=0, dense=None, surrogate_rmse=0.0, model_rmse=None,
+            r2_target=2.0)
+        p = tmp_path / "report.txt"
+        interpret.save_report(rep, p)
+        got = interpret.load_report(p).edge(0, 0, 0).fit
+        assert got.degree == 6
+        assert got.coefficients.tobytes() == fit.coefficients.tobytes()
+
+    def test_column_recurrence_matches_cheb2poly_bitwise(self):
+        rng = np.random.default_rng(7)
+        for n in range(1, 8):
+            for c in (rng.normal(size=(n, 100)) * 10.0 ** rng.integers(-3, 4, 100),
+                      rng.integers(-3, 4, (n, 100)).astype(float)):
+                c[-1] = np.where(c[-1] == 0.0, 1.5, c[-1])  # top coefficient != 0
+                got = interpret._cheb2poly(c)
+                assert got.shape == c.shape
+                for j in range(c.shape[1]):
+                    want = np.polynomial.chebyshev.cheb2poly(c[:, j])
+                    assert got[:, j].tobytes() == want.tobytes()
+
+    def test_r_squared_rows_follow_scalar_rules(self):
+        def scalar(ys, residual_ss):
+            scale = max(float(np.sum(ys**2)), 1.0)
+            if residual_ss <= 1e-24 * scale:
+                return 1.0
+            total_ss = float(np.sum((ys - ys.mean()) ** 2))
+            if total_ss == 0.0:
+                return 0.0
+            return max(0.0, 1.0 - residual_ss / total_ss)
+
+        rng = np.random.default_rng(3)
+        ramp = np.linspace(-1.0, 1.0, 9)
+        cases = [(np.full(9, 0.7), 1e-30), (np.full(9, 0.7), 0.5),
+                 # scale 33.75: 1e-23 is under 1e-24 * scale, 9e-23 is not
+                 (3.0 * ramp, 1e-23), (3.0 * ramp, 9e-23),
+                 (1e-12 * ramp, 1e-22), (ramp, 100.0), (ramp, np.nan),
+                 (ramp, 0.25)] + [(rng.normal(size=9), rng.uniform(0, 5))
+                                  for _ in range(20)]
+        ys = np.array([c[0] for c in cases])
+        res = np.array([c[1] for c in cases])
+        got = interpret._r_squared(ys, res)
+        want = [scalar(y, r) for y, r in cases]
+        assert got.tobytes() == np.array(want).tobytes()
 
     def test_r_squared_clamped_at_zero(self):
         # worse-than-mean fit: degree 0 on strongly sloped data is the mean,
@@ -598,11 +660,72 @@ class TestReport:
             raise AssertionError("report() fitted with settings it must reject")
 
         monkeypatch.setattr(interpret, "fit_poly", no_fit)
+        monkeypatch.setattr(interpret, "_fit_polys", no_fit)
         with pytest.raises(ValueError, match="grid 5 and max_degree 6"):
             interpret.report(m, plain_dataset(m.spec.input_dim), grid_size=5,
                              max_degree=6)
+
+    def test_report_solves_once_per_degree(self, monkeypatch):
+        m = init_model(spec_from_shape([6, 8, 4, 1], dr_layers=5, seed=2))
+        m.input_norm = np.stack([np.zeros(6), np.ones(6)], axis=1)
+        calls = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        rep = interpret.report(m, plain_dataset(6))
+        assert sum(e.active for e in rep.edges) == 84
+        assert 1 <= len(calls) <= interpret.DEFAULT_MAX_DEGREE + 1
 
     def test_report_grid_size_below_two_rejected(self):
         m = readout_models()[2]
         with pytest.raises(ValueError, match="grid_size"):
             interpret.report(m, plain_dataset(m.spec.input_dim), grid_size=1)
+
+
+@st.composite
+def _pruned_models(draw):
+    widths = ([draw(st.integers(1, 8)) for _ in range(draw(st.integers(1, 3)))]
+              + [1])
+    n = draw(st.integers(1, 2))
+    spec = spec_from_shape(widths, dr_layers=draw(st.integers(1, 2)),
+                           dense_head=draw(st.booleans()),
+                           seed=draw(st.integers(0, 2**16)),
+                           qubits_per_edge=n, entangle=n > 1 and draw(st.booleans()))
+    m = init_model(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    keep = draw(st.sampled_from([1.0, 0.7, 0.3]))
+    m.edge_active = [rng.uniform(size=a.shape) < keep for a in m.edge_active]
+    m.dense_w, m.dense_b = rng.normal(size=2)
+    m.input_norm = np.stack([np.zeros(spec.input_dim), np.ones(spec.input_dim)],
+                            axis=1)
+    return m
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(m=_pruned_models())
+def test_batched_fits_match_per_edge_fits(m):
+    # report() fits every live edge in one batch; each must be the fit
+    # fit_poly gives its samples alone, up to the rounding of BLAS products
+    # over many columns instead of one
+    seen = []
+    fit_polys = interpret._fit_polys
+
+    def spy(xs, ys, *args):
+        seen.append((xs, ys))
+        return fit_polys(xs, ys, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interpret, "_fit_polys", spy)
+        rep = interpret.report(m, plain_dataset(m.spec.input_dim))
+    (xs, ys), = seen
+    live = [e for e in rep.edges if e.active]
+    assert len(live) == len(ys) == sum(int(a.sum()) for a in m.edge_active)
+    for e, row in zip(live, ys):
+        # each row holds its own edge's samples
+        npt.assert_allclose(row, interpret.sample_edge(m, e.edge_id).ys,
+                            rtol=0, atol=1e-12)
+        ref = interpret.fit_poly(interpret.EdgeFunctionSample(e.edge_id, xs, row))
+        assert e.fit.degree == ref.degree
+        assert e.fit.coefficients.shape == (ref.degree + 1,)
+        npt.assert_allclose(e.fit.r_squared, ref.r_squared, rtol=0, atol=1e-15)
+        npt.assert_allclose(e.fit.coefficients, ref.coefficients, rtol=0, atol=1e-12)
