@@ -20,13 +20,13 @@ or ``(L, ..., n, P)`` whose middle axes broadcast against the input.
 
 The kernel is also a compiler.  With K encoding gates in all, the readout
 is exactly a real trigonometric polynomial of degree K in x, so ``_series``
-runs the adjoint sweep once on 2K+1 nodes for every live edge of the
-network layers it is given (all layers that share their wiring, in one
-call) and turns the values and angle gradients into Fourier coefficients
-and their Jacobian with a fixed real DFT.  It is a plain function: the
-network memoises its results, once per network state.  The network
-evaluates and trains from those coefficients; the statevector kernel serves
-``dr_forward_batch``, ``dr_gradient`` and the compile step.
+runs the adjoint sweep once on 2K+1 nodes for a flat stack of edges and
+turns each edge's values and angle gradients into its Fourier coefficients
+and their Jacobian with a fixed real DFT, the same product for every edge.
+It is a plain function: the network memoises its results, once per network
+state.  The network evaluates and trains from those coefficients; the
+statevector kernel serves ``dr_forward_batch``, ``dr_gradient`` and the
+compile step.
 """
 
 from __future__ import annotations
@@ -322,49 +322,27 @@ def _dft(K: int) -> np.ndarray:
     return D
 
 
-def _series(thetas: list, n: int, entangle: bool, template: GateTemplate,
-            live: list):
-    """Compile the live edges of a list of stacked ``thetas``, each
-    (L, ..., P) or (L, ..., n, P) and all sharing L and the trailing axes
-    (say, the layers of a network with the same wiring), to their exact
-    Fourier series.  ``live`` holds one boolean mask per stack over its edge
-    axes.
+def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
+    """Compile a flat stack of edges, ``thetas`` (L, E, P) or (L, E, n, P)
+    (say, the live edges of every network layer with the same wiring), to
+    their exact Fourier series.
 
-    Returns (K, cs, Js): the degree K and, one entry per stack, the
-    coefficients c (..., 2K+1) over the basis [1, cos kx (k = 1..K),
-    sin kx (k = 1..K)] and their Jacobian J = dc/dthetas, shaped
-    thetas.shape + (2K+1,).  Dead edges are left out of the sweep and get
-    c = 0 and J = 0.  All live edges of all stacks are compiled in one
-    adjoint sweep over the 2K+1 nodes, laid out on one flat edge axis.  The
-    DFT then runs on each stack in its own shape, because a matrix product's
-    rounding can depend on its width: each stack's c and J are bit-equal to
-    compiling it alone.  The results are read-only.
+    Returns (K, c, J): the degree K, the coefficients c (E, 2K+1) over the
+    basis [1, cos kx (k = 1..K), sin kx (k = 1..K)] and their Jacobian
+    J = dc/dthetas, shaped thetas.shape + (2K+1,).  All edges run in one
+    adjoint sweep over the 2K+1 nodes; the DFT is then one stacked product
+    of the same shape per edge, so an edge's c and J do not depend on which
+    edges share the call.
     """
-    L = thetas[0].shape[0]
-    K = sum(1 for _, s in template.gates if s == "input") * n * L
-    D = _dft(K)
+    K = sum(1 for _, s in template.gates if s == "input") * n * thetas.shape[0]
     N = 2 * K + 1
     nodes = (2.0 * np.pi / N) * np.arange(N)
-    flat = np.concatenate([t[:, m] for t, m in zip(thetas, live)], axis=1)
-    f, _, dtheta = _grad(nodes[:, None], flat, n, entangle, template)
-    dtheta = np.moveaxis(dtheta, 1, -1)  # nodes last
-    cs, Js = [], []
-    start = 0
-    for t, m in zip(thetas, live):
-        stop = start + np.count_nonzero(m)
-        fm = np.zeros((N,) + m.shape)
-        fm[:, m] = f[:, start:stop]
-        dm = np.zeros(t.shape + (N,))
-        dm[:, m] = dtheta[:, start:stop]
-        start = stop
-        # c = D f and J = dtheta D^T, contracting the nodes
-        c = np.ascontiguousarray(np.dot(D, fm.reshape(N, m.size)).T)
-        c = c.reshape(m.shape + (N,))
-        J = np.dot(dm.reshape(-1, N), D.T).reshape(dm.shape)
-        c.flags.writeable = J.flags.writeable = False
-        cs.append(c)
-        Js.append(J)
-    return K, cs, Js
+    f, _, dtheta = _grad(nodes[:, None], thetas, n, entangle, template)
+    # c = D f and J = dtheta D^T, contracting the nodes edge by edge
+    DT = _dft(K).T
+    c = np.matmul(np.ascontiguousarray(f.T)[:, None, :], DT)[:, 0]
+    J = np.matmul(np.ascontiguousarray(np.moveaxis(dtheta, 1, -1)), DT)
+    return K, c, J
 
 
 # --- public ops -------------------------------------------------------------

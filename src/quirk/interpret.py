@@ -67,10 +67,11 @@ def sample_edge(model: Model, edge_id, grid_size: int = DEFAULT_GRID_SIZE
                 ) -> EdgeFunctionSample:
     """Evaluate one edge's circuit alone on a uniform grid over [0, pi]."""
     layer, i, u = edge_id
-    try:
-        params = model.edge_params(layer, i, u)
-    except (IndexError, ValueError) as exc:
-        raise KeyError(f"no edge {tuple(edge_id)} in this model") from exc
+    layers = model.spec.layers
+    if not (0 <= layer < len(layers) and 0 <= i < layers[layer].fan_in
+            and 0 <= u < layers[layer].units):
+        raise KeyError(f"no edge {tuple(edge_id)} in this model")
+    params = model.edge_params(layer, i, u)
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
     xs = np.linspace(0.0, np.pi, grid_size)
@@ -238,22 +239,31 @@ def surrogate_forward(report: InterpretReport, raw_input) -> np.ndarray:
         raise ValueError(f"expected {len(report.input_norm)} features")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
-    polys = {e.edge_id: e.fit for e in report.edges if e.active}
     h = apply_input_norm(np.asarray(report.input_norm), X)
     n_layers = len(report.divisors)
-    v = None
-    widths = [len(d) for d in report.divisors]
-    fan_ins = [X.shape[1]] + widths[:-1]
-    for k in range(n_layers):
-        t = _to_t(h)
-        v = np.zeros((X.shape[0], widths[k]))
-        for u in range(widths[k]):
-            for i in range(fan_ins[k]):
-                fit = polys.get((k, i, u))
-                if fit is not None:
-                    v[:, u] += fit(t[:, i])
+    fits = {e.edge_id: e.fit.coefficients for e in report.edges if e.active}
+    for k, div in enumerate(report.divisors):
+        # the layer's live edges in (input, unit) order, their fits down
+        # axis 0 of one (degree + 1, edges, 1) array, zero-padded to the
+        # top degree, and their inputs t, rows innermost
+        ids = sorted(e for e in fits if e[0] == k)
+        coeffs = np.zeros((max([len(fits[e]) for e in ids], default=1), len(ids), 1))
+        for j, e in enumerate(ids):
+            coeffs[:len(fits[e]), j, 0] = fits[e]
+        t = _to_t(h).T[[i for _, i, _ in ids]]
+        # polyval's Horner steps on all of them at once; a padded edge stays
+        # 0 until its top coefficient, so each edge gets polyval's bits
+        p = coeffs[-1] + t * 0
+        for c in coeffs[-2::-1]:
+            p *= t
+            p += c
+        # each unit adds its inputs in order
+        v = np.zeros((len(div), X.shape[0]))
+        for j, (_, _, u) in enumerate(ids):
+            v[u] += p[j]
+        v = v.T
         if k < n_layers - 1:
-            h = rescale(v, np.asarray(report.divisors[k]), b=report.bias_flag)
+            h = rescale(v, np.asarray(div), b=report.bias_flag)
     out = v[:, 0]
     if report.dense is not None:
         out = report.dense[0] * out + report.dense[1]

@@ -271,7 +271,8 @@ class _Block(NamedTuple):
     the block on the layer's (input, unit) axes.  ``c`` is the block's
     (|ins|, |outs|, 2K+1) coefficients and ``J`` their Jacobian on the live
     inputs and every unit, (L, |ins|, units, [n,] P, 2K+1), since the
-    backward pass keeps the units axis whole (see network_backward).
+    backward pass keeps the units axis whole (see network_backward); both
+    hold the layer's rows of the compile, and 0 on dead edges.
     ``div`` holds the divisors of the units the next layer reads.  ``feed``
     is None when it reads exactly ``outs``; else it lists the columns of
     [v, 0] it reads, for a dead unit reads v = 0.
@@ -307,31 +308,31 @@ def _compiled(layers: tuple, template: GateTemplate, thetas, active) -> tuple:
 
 @lru_cache(maxsize=_MEMO_STATES)
 def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple):
-    # one dr._series call per group of layers sharing their wiring
+    # one dr._series call per group of layers sharing their wiring, on
+    # their live edges in (layer, input, unit) order; each layer's rows
+    # are then scattered into its block, where dead edges stay 0
     P = template.params_per_layer
     plans = _live_blocks(layers, masks)
     groups = {}
     for k, layer in enumerate(layers):
         wiring = (layer.dr_layers, layer.qubits_per_edge, layer.entangle)
         groups.setdefault(wiring, []).append(k)
-    series = [None] * len(layers)
+    blocks = [None] * len(layers)
     for (_, n, entangle), ks in groups.items():
-        K, cs, Js = _series(
-            [np.frombuffer(angles[k]).reshape(_theta_shape(layers[k], P)) for k in ks],
-            n, entangle, template, [plans[k][0] for k in ks])
-        for k, c, J in zip(ks, cs, Js):
-            series[k] = (K, c, J)
-    blocks = []
-    for (K, c, J), (_, ins, outs, at, div, feed) in zip(series, plans):
-        # sliced after the DFT, so entries stay bit-equal to a lone compile;
-        # a whole axis stays a plain slice, which copies nothing
-        if not (isinstance(ins, slice) and isinstance(outs, slice)):
-            c = c[at]
-            c.flags.writeable = False
-        if not isinstance(ins, slice):
-            J = J[:, ins]
-            J.flags.writeable = False
-        blocks.append(_Block(K, ins, outs, at, c, J, div, feed))
+        K, c, J = _series(np.concatenate(
+            [np.frombuffer(angles[k]).reshape(_theta_shape(layers[k], P))[:, plans[k][0]]
+             for k in ks], axis=1), n, entangle, template)
+        start = 0
+        for k in ks:
+            m, ins, outs, at, div, feed = plans[k]
+            stop = start + np.count_nonzero(m)
+            cb = np.zeros(m[at].shape + c.shape[1:])
+            cb[m[at]] = c[start:stop]
+            Jb = np.zeros(J.shape[:1] + m[ins].shape + J.shape[2:])
+            Jb[:, m[ins]] = J[:, start:stop]
+            start = stop
+            cb.flags.writeable = Jb.flags.writeable = False
+            blocks[k] = _Block(K, ins, outs, at, cb, Jb, div, feed)
     return tuple(blocks)
 
 

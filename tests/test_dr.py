@@ -267,6 +267,30 @@ def test_kernel_matches_oracles(n, entangle, template, L, x, seed):
     assert dx == pytest.approx(oracles.shift_rule_dx(x, p.thetas, **kw), abs=1e-10)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(1, 3), entangle=st.booleans(),
+       template=st.sampled_from(sorted(_TEMPLATES)), L=st.integers(1, 3),
+       E=st.integers(0, 12), seed=st.integers(0, 2**32 - 1))
+def test_series_rows_do_not_depend_on_their_company(n, entangle, template, L, E, seed):
+    # any subset of a stack's edges, a lone edge included, compiles to rows
+    # bit-equal to those of the whole stack
+    tpl = _TEMPLATES[template]
+    rng = np.random.default_rng(seed)
+    P = tpl.params_per_layer
+    thetas = rng.uniform(-np.pi, np.pi, (L, E) + ((P,) if n == 1 else (n, P)))
+    K, c, J = drmod._series(thetas, n, entangle, tpl)
+    assert K == L * n  # both templates encode once per layer
+    assert c.shape == (E, 2 * K + 1) and J.shape == thetas.shape + (2 * K + 1,)
+    subsets = [rng.uniform(size=E) < rng.uniform()]
+    if E:
+        subsets.append(np.arange(E) == rng.integers(E))
+    for keep in subsets:
+        K1, c1, J1 = drmod._series(thetas[:, keep], n, entangle, tpl)
+        assert K1 == K
+        assert c1.tobytes() == c[keep].tobytes()
+        assert J1.tobytes() == J[:, keep].tobytes()
+
+
 class TestClamping:
     def test_out_of_domain_warns_and_clamps(self):
         p = random_params(3)

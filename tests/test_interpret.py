@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from quirk import interpret
 from quirk.data import generate
 from quirk.dr import SU2_TEMPLATE, GateTemplate
-from quirk.network import (Model, fit_input_norm, init_model, network_forward,
-                           spec_from_shape)
+from quirk.network import (Model, apply_input_norm, fit_input_norm, init_model,
+                           network_forward, rescale, spec_from_shape)
 from quirk.train import TrainConfig, train
 
 from mutations import escapes, insertions
@@ -103,11 +103,12 @@ class TestSampleEdge:
         assert np.all(np.abs(s.ys) <= 1.0 + 1e-12)
 
     def test_unknown_edge_raises_lookup(self):
+        # negative ids name no edge either, though they would index from the end
         m = theta_zero_model([2, 1])
-        with pytest.raises(LookupError):
-            interpret.sample_edge(m, (0, 5, 0))
-        with pytest.raises(LookupError):
-            interpret.sample_edge(m, (3, 0, 0))
+        for edge_id in [(0, 5, 0), (3, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1),
+                        (0, -3, 0), (-2, 0, 0)]:
+            with pytest.raises(KeyError, match="no edge"):
+                interpret.sample_edge(m, edge_id)
 
 
 class TestFitPoly:
@@ -729,3 +730,57 @@ def test_batched_fits_match_per_edge_fits(m):
         assert e.fit.coefficients.shape == (ref.degree + 1,)
         npt.assert_allclose(e.fit.r_squared, ref.r_squared, rtol=0, atol=1e-15)
         npt.assert_allclose(e.fit.coefficients, ref.coefficients, rtol=0, atol=1e-12)
+
+
+def per_edge_surrogate(rep, X):
+    """The polynomial surrogate one edge at a time, one polyval per live
+    edge, summed over the inputs in order: the reference for the per-layer
+    evaluation."""
+    h = apply_input_norm(rep.input_norm, X)
+    fits = {e.edge_id: e.fit for e in rep.edges if e.active}
+    for k, div in enumerate(rep.divisors):
+        t = 2.0 * h / np.pi - 1.0
+        v = np.zeros((len(X), len(div)))
+        for u in range(len(div)):
+            for i in range(h.shape[1]):
+                if (k, i, u) in fits:
+                    v[:, u] += fits[(k, i, u)](t[:, i])
+        if k < len(rep.divisors) - 1:
+            h = rescale(v, np.asarray(div), b=rep.bias_flag)
+    return v[:, 0] if rep.dense is None else rep.dense[0] * v[:, 0] + rep.dense[1]
+
+
+@st.composite
+def _pruned_reports(draw):
+    shape = ([draw(st.integers(1, 6)) for _ in range(draw(st.integers(1, 3)))]
+             + [1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    keep = draw(st.sampled_from([1.0, 0.7, 0.3]))
+    edges, divisors = [], []
+    for k in range(len(shape) - 1):
+        active = rng.uniform(size=(shape[k], shape[k + 1])) < keep
+        divisors.append(np.maximum(active.sum(axis=0), 1.0).tolist())
+        for (i, u), live in np.ndenumerate(active):
+            degree = int(rng.integers(0, 7))
+            # coefficients large enough that sums overshoot the clamp
+            fit = interpret.PolyFit(rng.normal(scale=0.7, size=degree + 1), degree,
+                                    1.0) if live else None
+            edges.append(interpret.EdgeReport((k, i, u), bool(live), fit))
+    lo = rng.normal(size=shape[0])
+    return interpret.InterpretReport(
+        shape=tuple(shape), input_norm=np.stack([lo, lo + rng.uniform(0.5, 2.0, shape[0])],
+                                                axis=1),
+        edges=edges, divisors=divisors, bias_flag=draw(st.integers(0, 1)),
+        dense=tuple(rng.normal(size=2)) if draw(st.booleans()) else None,
+        surrogate_rmse=0.0, model_rmse=None), rng
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=_pruned_reports())
+def test_surrogate_matches_per_edge_polyval_bitwise(case):
+    # mixed degrees, pruned edges, dense heads and both bias flags; inputs
+    # reach outside the normaliser's window
+    rep, rng = case
+    X = rng.uniform(-3.0, 3.0, (50, rep.shape[0]))
+    assert (interpret.surrogate_forward(rep, X).tobytes()
+            == per_edge_surrogate(rep, X).tobytes())
