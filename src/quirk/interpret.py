@@ -67,10 +67,6 @@ def sample_edge(model: Model, edge_id, grid_size: int = DEFAULT_GRID_SIZE
                 ) -> EdgeFunctionSample:
     """Evaluate one edge's circuit alone on a uniform grid over [0, pi]."""
     layer, i, u = edge_id
-    layers = model.spec.layers
-    if not (0 <= layer < len(layers) and 0 <= i < layers[layer].fan_in
-            and 0 <= u < layers[layer].units):
-        raise KeyError(f"no edge {tuple(edge_id)} in this model")
     params = model.edge_params(layer, i, u)
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")

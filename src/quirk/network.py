@@ -24,7 +24,8 @@ boolean masks support pruning: an inactive edge is not compiled, contributes
 nothing, is not trained, and is not counted.  The memo also keeps each
 layer's live block, the inputs and units with a live edge, and every pass
 evaluates only that block, so a pruned edge costs nothing to serve or
-fine-tune; a fully live layer's block is the whole layer.
+fine-tune; a fully live layer's block is the whole layer, and every pass
+gives each edge the bits that evaluating its whole layer would.
 """
 
 from __future__ import annotations
@@ -181,7 +182,9 @@ class Model:
 
     def edge_params(self, layer: int, i: int, u: int) -> DRParams:
         """The DR circuit on edge (input i -> unit u) of ``layer``."""
-        ls = self.spec.layers[layer]
+        ls = self.spec.layers[layer] if 0 <= layer < len(self.spec.layers) else None
+        if ls is None or not (0 <= i < ls.fan_in and 0 <= u < ls.units):
+            raise KeyError(f"no edge {(layer, i, u)} in this model")
         return DRParams(self.thetas[layer][:, i, u], num_qubits=ls.qubits_per_edge,
                         entangle=ls.entangle, template=self.spec.template)
 
@@ -269,10 +272,9 @@ class _Block(NamedTuple):
     (the last layer's one unit, the output, always); each is ``slice(None)``
     when the whole axis is live, else an index array, and ``at`` indexes
     the block on the layer's (input, unit) axes.  ``c`` is the block's
-    (|ins|, |outs|, 2K+1) coefficients and ``J`` their Jacobian on the live
-    inputs and every unit, (L, |ins|, units, [n,] P, 2K+1), since the
-    backward pass keeps the units axis whole (see network_backward); both
-    hold the layer's rows of the compile, and 0 on dead edges.
+    (|ins|, |outs|, 2K+1) coefficients and ``J`` their Jacobian on the same
+    axes, (L, |ins|, |outs|, [n,] P, 2K+1); both hold the layer's rows of
+    the compile, and 0 on dead edges.
     ``div`` holds the divisors of the units the next layer reads.  ``feed``
     is None when it reads exactly ``outs``; else it lists the columns of
     [v, 0] it reads, for a dead unit reads v = 0.
@@ -328,8 +330,8 @@ def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple)
             stop = start + np.count_nonzero(m)
             cb = np.zeros(m[at].shape + c.shape[1:])
             cb[m[at]] = c[start:stop]
-            Jb = np.zeros(J.shape[:1] + m[ins].shape + J.shape[2:])
-            Jb[:, m[ins]] = J[:, start:stop]
+            Jb = np.zeros(J.shape[:1] + m[at].shape + J.shape[2:])
+            Jb[:, m[at]] = J[:, start:stop]
             start = stop
             cb.flags.writeable = Jb.flags.writeable = False
             blocks[k] = _Block(K, ins, outs, at, cb, Jb, div, feed)
@@ -375,14 +377,15 @@ def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
     basis depends on the input only.  f accumulates in a fixed loop of
     broadcast multiply-adds over rows, and unit sums add the inputs in
     order, so a row gets the same arithmetic in any batch.  Returns
-    (unit_sums (B, |outs|), edge_vals (B, |ins|, |outs|), basis
-    (2K+1, |ins|, B) or None unless ``want_grads``).
+    (unit_sums (B, |outs|), edge_vals (B, |ins|, |outs|), basis or None
+    unless ``want_grads``); the basis is (|ins|, 2K+1, B) with contiguous
+    rows, so each input's (2K+1, B) matrix has one layout in any block.
     """
     x = np.ascontiguousarray(h.T)
     cos1, sin1 = np.cos(x), np.sin(x)
     # the backward pass needs the whole basis; a forward pass keeps only
     # the current frequency, so big batches need no (2K+1)-fold copy
-    basis = np.empty((2 * K + 1,) + x.shape) if want_grads else None
+    basis = np.empty((x.shape[0], 2 * K + 1, x.shape[1])) if want_grads else None
     # f[i, u, b], rows innermost
     f = np.empty(c.shape[:2] + x.shape[1:])
     f[...] = c[:, :, :1]
@@ -394,9 +397,9 @@ def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
         f += np.multiply(cos_k[:, None, :], c[:, :, k:k + 1], out=term)
         f += np.multiply(sin_k[:, None, :], c[:, :, K + k:K + k + 1], out=term)
         if want_grads:
-            basis[k], basis[K + k] = cos_k, sin_k
+            basis[:, k], basis[:, K + k] = cos_k, sin_k
     if want_grads:
-        basis[0] = 1.0
+        basis[:, 0] = 1.0
     # a readout <Z> lies in [-1, 1]; keep the series' rounding inside it
     np.minimum(f, 1.0, out=f)
     np.maximum(f, -1.0, out=f)
@@ -522,34 +525,34 @@ def network_backward(X, y, model: Model):
     if model.spec.dense_head:
         grads.dense_w = float(r @ v_last)
         grads.dense_b = float(r.sum())
-        cot = (r * model.dense_w)[:, None]  # dL/dv of last layer
+        cot = (r * model.dense_w)[None]  # dL/dv of last layer
     else:
-        cot = r[:, None]
+        cot = r[None]
 
-    # the products below narrow the inputs axis to the block's, never the
-    # units axis: a narrower units axis would change their last bits (G
-    # runs as gemv, H drops terms from its sum at B = 1, and the einsum
-    # picks another inner loop), so cot spans every unit of layer k
+    # cot holds layer k's units, (units, B); every product below has one
+    # shape per edge, so a block gives each edge its whole layer's bits
     for k in range(len(model.spec.layers) - 1, -1, -1):
-        cache = caches[k]
-        blk, basis = cache["blk"], cache["basis"]
+        blk, basis = caches[k]["blk"], caches[k]["basis"]
+        cot_b = cot[blk.outs]
         # contract the cotangent with the basis first, so no per-sample
-        # dtheta is ever built: G[i, u, m] = sum_b basis_m(h_bi) cot_bu
+        # dtheta is ever built: G[i, u, m] = sum_b basis_m(h_bi) cot_ub
+        G = np.matmul(basis[:, None], cot_b[:, :, None])
+        if blk.J.ndim == 6:  # an edge's n qubits share its G
+            G = G[:, :, None]
         # dead edges have J = 0, so they get no gradient
-        G = np.matmul(basis.transpose(1, 0, 2), cot).transpose(0, 2, 1)
-        grads.thetas[k][:, blk.ins] = np.einsum("liu...k,iuk->liu...", blk.J, G)
+        grads.thetas[k][(slice(None),) + blk.at] = np.matmul(blk.J, G)[..., 0]
         if k > 0:
-            # dh_bi = sum_m basis'_m(h_bi) sum_u c_ium cot_bu, with
+            # dh_ib = sum_u f'_iu(h_bi) cot_ub, f' the derivative series:
             # (cos jx)' = -j sin jx and (sin jx)' = j cos jx
-            K = blk.K
-            c = np.zeros(G.shape)
-            c[:, blk.outs] = blk.c
-            H = np.matmul(c.transpose(0, 2, 1), cot.T).transpose(1, 0, 2)
-            j = np.arange(1.0, K + 1)[:, None, None]
-            dh = (j * (basis[1:K + 1] * H[K + 1:] - basis[K + 1:] * H[1:K + 1])).sum(axis=0)
-            # laid out like dh.T, units first: the layout steers the matmul
-            cot = np.zeros((model.spec.layers[k - 1].units, B)).T
-            cot[:, blk.ins] = dh.T * caches[k - 1]["slope"]
+            K, c, j = blk.K, blk.c, np.arange(1.0, blk.K + 1)
+            dc = np.concatenate([np.zeros(c.shape[:2] + (1,)),
+                                 j * c[:, :, K + 1:], -j * c[:, :, 1:K + 1]], axis=2)
+            df = np.matmul(dc[:, :, None], basis[:, None])[:, :, 0]
+            dh = np.zeros((df.shape[0], B))
+            for u in range(df.shape[1]):  # the units in order
+                dh += df[:, u] * cot_b[u]
+            cot = np.zeros((model.spec.layers[k - 1].units, B))
+            cot[blk.ins] = dh * caches[k - 1]["slope"].T
     return loss, yhat, grads
 
 

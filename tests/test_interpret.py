@@ -109,6 +109,8 @@ class TestSampleEdge:
                         (0, -3, 0), (-2, 0, 0)]:
             with pytest.raises(KeyError, match="no edge"):
                 interpret.sample_edge(m, edge_id)
+            with pytest.raises(KeyError, match="no edge"):
+                m.edge_params(*edge_id)
 
 
 class TestFitPoly:

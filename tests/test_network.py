@@ -659,7 +659,8 @@ def _whole_layer_forward(m, X):
 
 def _whole_layer_backward(m, X, y):
     """Angle gradients over whole layers, as before live blocks: every
-    product spans every input and unit of its layer."""
+    layer's per-edge products span all its inputs and units, and each input
+    adds every unit in order."""
     h = apply_input_norm(m.input_norm, X)
     series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
                                m.edge_active)
@@ -668,7 +669,7 @@ def _whole_layer_backward(m, X, y):
         c = np.zeros((layer.fan_in, layer.units, 2 * blk.K + 1))
         c[blk.at] = blk.c
         J = np.zeros(m.thetas[k].shape + (2 * blk.K + 1,))
-        J[:, blk.ins] = blk.J
+        J[(slice(None),) + blk.at] = blk.J
         v, _, basis = network._layer_eval(h, blk.K, c, want_grads=True)
         slope = None
         if k < len(series) - 1:
@@ -678,18 +679,22 @@ def _whole_layer_backward(m, X, y):
         caches.append((c, J, basis, slope))
     w = m.dense_w if m.spec.dense_head else 1.0
     cot = (((w * v[:, 0] + m.dense_b if m.spec.dense_head else v[:, 0]) - y)
-           / len(y) * w)[:, None]
+           / len(y) * w)[None]
     grads = [None] * len(series)
     for k in range(len(series) - 1, -1, -1):
         c, J, basis, _ = caches[k]
-        G = np.matmul(basis.transpose(1, 0, 2), cot).transpose(0, 2, 1)
-        grads[k] = np.einsum("liu...k,iuk->liu...", J, G)
+        G = np.matmul(basis[:, None], cot[:, :, None])
+        grads[k] = np.matmul(J, G[:, :, None] if J.ndim == 6 else G)[..., 0]
         if k > 0:
             K = series[k].K
-            H = np.matmul(c.transpose(0, 2, 1), cot.T).transpose(1, 0, 2)
-            j = np.arange(1.0, K + 1)[:, None, None]
-            dh = (j * (basis[1:K + 1] * H[K + 1:] - basis[K + 1:] * H[1:K + 1])).sum(axis=0)
-            cot = dh.T * caches[k - 1][3]
+            j = np.arange(1.0, K + 1)
+            dc = np.concatenate([np.zeros(c.shape[:2] + (1,)),
+                                 j * c[:, :, K + 1:], -j * c[:, :, 1:K + 1]], axis=2)
+            df = np.matmul(dc[:, :, None], basis[:, None])[:, :, 0]
+            dh = np.zeros((df.shape[0], len(y)))
+            for u in range(df.shape[1]):
+                dh += df[:, u] * cot[u]
+            cot = dh * caches[k - 1][3].T
     return grads
 
 
@@ -734,12 +739,46 @@ def test_live_blocks_match_whole_layers(case):
     # wide layers and many rows take the BLAS kernels whose rounding
     # depends on operand layout and width
     ((6, 8, 4, 1), {0: np.s_[:, 5], 1: np.s_[:, 3]}, 300),
+    # a hidden block narrowed to one unit of several, where products shaped
+    # by the block's width (gemv against gemm, an einsum's inner loop)
+    # would round otherwise than over the whole layer
+    ((6, 8, 4, 1), {1: np.s_[:, 1:]}, 1),
+    ((6, 8, 4, 1), {1: np.s_[:, 1:]}, 300),
 ])
 def test_live_blocks_on_dead_units(shape, dead, rows):
     m = small_model(shape, dr_layers=2, seed=7, dense=True, bias_flag=1)
     for k, where in dead.items():
         m.edge_active[k][where] = False
     _check_live_blocks(m, np.random.default_rng(3), rows)
+
+
+@st.composite
+def _wide_networks(draw):
+    # wider layers and bigger batches than _networks, to reach the BLAS
+    # kernels whose choice depends on a product's shape
+    widths = [draw(st.integers(1, 8)) for _ in range(draw(st.integers(1, 2)))] + [1]
+    n = draw(st.integers(1, 2))
+    spec = spec_from_shape(
+        widths, dr_layers=draw(st.integers(1, 2)), dense_head=draw(st.booleans()),
+        bias_flag=draw(st.integers(0, 1)), seed=draw(st.integers(0, 2**16)),
+        qubits_per_edge=n, entangle=n > 1 and draw(st.booleans()))
+    m = init_model(spec)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    live = draw(st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    m.edge_active = [rng.uniform(size=a.shape) < live for a in m.edge_active]
+    m.input_norm = np.stack([np.zeros(spec.input_dim), np.ones(spec.input_dim)], axis=1)
+    return m, rng, draw(st.sampled_from([1, 2, 3, 7, 64, 300]))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_wide_networks())
+def test_block_gradients_match_whole_layers_at_any_width(case):
+    m, rng, rows = case
+    X = rng.uniform(0, 1, (rows, m.spec.input_dim))
+    y = rng.normal(size=rows)
+    _, _, grads = network_backward(X, y, m)
+    for g, whole in zip(grads.thetas, _whole_layer_backward(m, X, y)):
+        npt.assert_array_equal(g, whole)  # to the last bit
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -804,11 +843,11 @@ def test_merged_compile_equals_lone_compile(case):
         npt.assert_array_equal(np.arange(layer.units)[blk.outs], outs)
         assert blk.K == K1
         assert blk.c.shape == (ins.size, outs.size, c1.shape[-1])
-        assert blk.J.shape == J1[:, ins].shape
+        assert blk.J.shape == J1[:, ins][:, :, outs].shape
         c = np.zeros_like(c1)
         c[blk.at] = blk.c
         J = np.zeros_like(J1)
-        J[:, ins] = blk.J
+        J[(slice(None),) + blk.at] = blk.J
         assert c[active].tobytes() == c1[active].tobytes()
         assert J[:, active].tobytes() == J1[:, active].tobytes()
         assert not c[~active].any() and not J[:, ~active].any()
