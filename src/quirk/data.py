@@ -264,9 +264,9 @@ class Dataset:
         idx = self.splits[name]
         return self.X[idx], self.y[idx]
 
-    def split(self, seed: int, fractions=SPLIT_FRACTIONS) -> "Dataset":
+    def split(self, seed: int) -> "Dataset":
         """New Dataset with a seeded shuffled train/val/test split attached."""
-        splits = train_val_test_split(self.n, seed, fractions)
+        splits = train_val_test_split(self.n, seed)
         return Dataset(self.X, self.y, self.columns, splits, self.seed)
 
 
@@ -279,18 +279,17 @@ def _check_splits(splits: dict, n: int) -> None:
         raise ValueError("split indices must be disjoint and cover every row")
 
 
-def train_val_test_split(n: int, seed: int, fractions=SPLIT_FRACTIONS) -> dict:
-    """Seeded shuffled index split; sizes floor(train), floor(val), remainder."""
+def train_val_test_split(n: int, seed: int) -> dict:
+    """Seeded shuffled index split by SPLIT_FRACTIONS; sizes floor(train),
+    floor(val), remainder."""
     if n < 3:
         raise ValueError(f"need at least 3 rows to split, got {n}")
-    f_train, f_val, f_test = fractions
-    if not np.isclose(f_train + f_val + f_test, 1.0):
-        raise ValueError("split fractions must sum to 1")
+    f_train, f_val, _ = SPLIT_FRACTIONS
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(np.floor(f_train * n))
     n_val = int(np.floor(f_val * n))
     if min(n_train, n_val, n - n_train - n_val) < 1:
-        raise ValueError(f"{n} rows cannot fill a {fractions} split")
+        raise ValueError(f"{n} rows cannot fill a {SPLIT_FRACTIONS} split")
     return {
         "train": perm[:n_train],
         "val": perm[n_train:n_train + n_val],

@@ -217,7 +217,8 @@ class InterpretReport:
                 lines.append(f"  layer {k} unit {u}: v = {body}")
             if k < len(self.divisors) - 1:
                 lines.append(
-                    f"    then x = pi*((v/divisor) + {1 - self.bias_flag})/2 "
+                    f"    then v clamped to [-divisor, divisor], x = "
+                    f"pi*((v/divisor) + {1 - self.bias_flag})/2 clipped to [0, pi], "
                     f"per unit, divisors {list(div)}")
         if self.dense is not None:
             w, b = self.dense

@@ -22,7 +22,8 @@ live edges, whatever the qubit count), so a training step compiles once in
 its backward pass and its validation forward is a hit.  ``edge_active``
 boolean masks support pruning: an inactive edge is not compiled, contributes
 nothing, is not trained, and is not counted.  The memo also keeps each
-layer's live block, the inputs and units with a live edge, and every pass
+layer's live block, the inputs and units with a live edge, chained so that
+each block's units are the next block's inputs, and every pass
 evaluates only that block, so a pruned edge costs nothing to serve or
 fine-tune; a fully live layer's block is the whole layer, and every pass
 gives each edge the bits that evaluating its whole layer would.
@@ -268,16 +269,17 @@ _MEMO_STATES = 8
 class _Block(NamedTuple):
     """One layer's live block, as ``_compiled`` keeps it.
 
-    ``ins`` are the inputs with a live edge and ``outs`` the units with one
-    (the last layer's one unit, the output, always); each is ``slice(None)``
-    when the whole axis is live, else an index array, and ``at`` indexes
-    the block on the layer's (input, unit) axes.  ``c`` is the block's
-    (|ins|, |outs|, 2K+1) coefficients and ``J`` their Jacobian on the same
-    axes, (L, |ins|, |outs|, [n,] P, 2K+1); both hold the layer's rows of
-    the compile, and 0 on dead edges.
-    ``div`` holds the divisors of the units the next layer reads.  ``feed``
-    is None when it reads exactly ``outs``; else it lists the columns of
-    [v, 0] it reads, for a dead unit reads v = 0.
+    ``outs`` are the units that the layer's own live edges or the next
+    layer's touch (the last layer's one unit, the output, always), and
+    ``ins`` are the previous layer's ``outs`` (layer 0's: the inputs with a
+    live edge), so blocks chain; each is ``slice(None)`` when the whole
+    axis is live, else an index array, and ``at`` indexes the block on the
+    layer's (input, unit) axes.  ``c`` is the block's (|ins|, |outs|, 2K+1)
+    coefficients and ``J`` their Jacobian on the same axes,
+    (L, |ins|, |outs|, [n,] P, 2K+1); both hold the layer's rows of the
+    compile, and 0 on dead edges, so a unit with no live edge sums to 0 and
+    a unit the next layer does not read adds 0 to it.  ``div`` holds the
+    divisors of ``outs``.
     """
 
     K: int
@@ -287,7 +289,6 @@ class _Block(NamedTuple):
     c: np.ndarray
     J: np.ndarray
     div: np.ndarray
-    feed: object
 
 
 def _live(axis: np.ndarray):
@@ -295,11 +296,10 @@ def _live(axis: np.ndarray):
 
 
 def _compiled(layers: tuple, template: GateTemplate, thetas, active) -> tuple:
-    """Each layer's live block (see ``_Block``): the inputs and units with a
-    live edge, the block of the layer's compiled Fourier series (K, c, J)
-    (see ``dr._series``; dead edges inside the block have c = 0 and J = 0),
-    the divisors of the units the next layer reads and the map to them.
-    Pruned edges outside the block are neither compiled nor evaluated.
+    """Each layer's live block (see ``_Block``): its inputs and units, the
+    block of the layer's compiled Fourier series (K, c, J) (see
+    ``dr._series``; dead edges inside the block have c = 0 and J = 0) and
+    the divisors of its units.  Pruned edges outside the block are neither compiled nor evaluated.
     Memoised on the content of the angles and masks, not the arrays'
     identity, since optimizers and pruning update them in place; the
     results are read-only."""
@@ -326,7 +326,7 @@ def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple)
              for k in ks], axis=1), n, entangle, template)
         start = 0
         for k in ks:
-            m, ins, outs, at, div, feed = plans[k]
+            m, ins, outs, at, div = plans[k]
             stop = start + np.count_nonzero(m)
             cb = np.zeros(m[at].shape + c.shape[1:])
             cb[m[at]] = c[start:stop]
@@ -334,36 +334,28 @@ def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple)
             Jb[:, m[at]] = J[:, start:stop]
             start = stop
             cb.flags.writeable = Jb.flags.writeable = False
-            blocks[k] = _Block(K, ins, outs, at, cb, Jb, div, feed)
+            blocks[k] = _Block(K, ins, outs, at, cb, Jb, div)
     return tuple(blocks)
 
 
 @lru_cache(maxsize=_MEMO_STATES)
 def _live_blocks(layers: tuple, masks: tuple) -> tuple:
     """Per layer, what the edge masks alone decide (see ``_Block``): the
-    mask, ins, outs, at, div and feed.  Memoised apart from the angles,
-    which change every training step, while masks change only in pruning."""
+    mask, ins, outs, at and div.  Memoised apart from the angles, which
+    change every training step, while masks change only in pruning."""
     masks = [np.frombuffer(m, dtype=bool).reshape(layer.fan_in, layer.units)
              for m, layer in zip(masks, layers)]
     plans = []
+    ins = _live(masks[0].any(axis=1))
     for k, m in enumerate(masks):
-        # the units the next layer reads; the last layer's one unit, the
-        # output, is always in its block
         last = k + 1 == len(layers)
-        ins = _live(m.any(axis=1))
-        outs = slice(None) if last else _live(m.any(axis=0))
-        reads = slice(None) if last else _live(masks[k + 1].any(axis=1))
+        outs = slice(None) if last else _live(m.any(axis=0) | masks[k + 1].any(axis=1))
         at = ((ins, outs) if isinstance(ins, slice) or isinstance(outs, slice)
               else np.ix_(ins, outs))
-        have, want = np.arange(m.shape[1])[outs], np.arange(m.shape[1])[reads]
-        column = np.full(m.shape[1], have.size)  # the 0 after the block's v
-        column[have] = np.arange(have.size)
-        feed = None if np.array_equal(have, want) else column[want]
-        div = _unit_divisors(m)[reads]
-        for a in (div, feed):
-            if a is not None:
-                a.flags.writeable = False
-        plans.append((m, ins, outs, at, div, feed))
+        div = _unit_divisors(m)[outs]
+        div.flags.writeable = False
+        plans.append((m, ins, outs, at, div))
+        ins = outs
     return tuple(plans)
 
 
@@ -443,8 +435,7 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
     if active.shape != (fan_in, units):
         raise ValueError(f"active shape {active.shape} != {(fan_in, units)}")
     blk = _compiled((layer,), template, [thetas], [active])[0]
-    sums = np.zeros((h.shape[0], units))
-    sums[:, blk.outs] = _layer_eval(h[:, blk.ins], blk.K, blk.c, want_grads=False)[0]
+    sums = _layer_eval(h[:, blk.ins], blk.K, blk.c, want_grads=False)[0]
     return sums[0] if single else sums
 
 
@@ -453,8 +444,8 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     caches).  caches[k] holds the layer's block record ``blk`` (see
     _compiled) and its unit sums and edge values on the block (see
     _layer_eval) and, with ``want_grads``, its Fourier basis and the slope
-    of the rescale after it on the units the next layer reads (see
-    rescale); else the basis is None."""
+    of the rescale after it on the block's units (see rescale); else the
+    basis is None.  Each block's units are the next block's inputs."""
     if model.input_norm is None:
         raise RuntimeError(
             "input normalization is unfitted; train first or set model.input_norm")
@@ -472,8 +463,6 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     for k, blk in enumerate(series):
         v, f, basis = _layer_eval(h, blk.K, blk.c, want_grads)
         caches.append({"blk": blk, "v": v, "f": f, "basis": basis})
-        if blk.feed is not None:
-            v = np.pad(v, ((0, 0), (0, 1)))[:, blk.feed]
         if k < n_layers - 1:
             h = rescale(v, blk.div, b=model.spec.bias_flag)
             if want_grads:
@@ -529,14 +518,13 @@ def network_backward(X, y, model: Model):
     else:
         cot = r[None]
 
-    # cot holds layer k's units, (units, B); every product below has one
-    # shape per edge, so a block gives each edge its whole layer's bits
+    # cot holds layer k's block units, (|outs|, B); every product below has
+    # one shape per edge, so a block gives each edge its whole layer's bits
     for k in range(len(model.spec.layers) - 1, -1, -1):
         blk, basis = caches[k]["blk"], caches[k]["basis"]
-        cot_b = cot[blk.outs]
         # contract the cotangent with the basis first, so no per-sample
         # dtheta is ever built: G[i, u, m] = sum_b basis_m(h_bi) cot_ub
-        G = np.matmul(basis[:, None], cot_b[:, :, None])
+        G = np.matmul(basis[:, None], cot[:, :, None])
         if blk.J.ndim == 6:  # an edge's n qubits share its G
             G = G[:, :, None]
         # dead edges have J = 0, so they get no gradient
@@ -550,9 +538,8 @@ def network_backward(X, y, model: Model):
             df = np.matmul(dc[:, :, None], basis[:, None])[:, :, 0]
             dh = np.zeros((df.shape[0], B))
             for u in range(df.shape[1]):  # the units in order
-                dh += df[:, u] * cot_b[u]
-            cot = np.zeros((model.spec.layers[k - 1].units, B))
-            cot[blk.ins] = dh * caches[k - 1]["slope"].T
+                dh += df[:, u] * cot[u]
+            cot = dh * caches[k - 1]["slope"].T
     return loss, yhat, grads
 
 

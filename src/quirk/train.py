@@ -133,28 +133,6 @@ def adam_step(params, grads, state: AdamState, config: TrainConfig,
     return params, state
 
 
-def _model_params(model: Model):
-    """Flat list of trainable arrays; the dense pair rides along as one
-    2-vector that is synced back to the model after each step."""
-    params = list(model.thetas)
-    if model.spec.dense_head:
-        params.append(np.array([model.dense_w, model.dense_b]))
-    return params
-
-
-def _sync_dense(model: Model, params) -> None:
-    if model.spec.dense_head:
-        model.dense_w = float(params[-1][0])
-        model.dense_b = float(params[-1][1])
-
-
-def _grad_list(model: Model, grads):
-    gs = list(grads.thetas)
-    if model.spec.dense_head:
-        gs.append(np.array([grads.dense_w, grads.dense_b]))
-    return gs
-
-
 def _check_finite(step: int, loss: float, params) -> None:
     if not np.isfinite(loss):
         raise TrainingDivergedError(f"loss became non-finite at step {step}")
@@ -167,7 +145,9 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
          max_steps: int, patience: int | None, history: TrainHistory) -> Model:
     """Shared optimizer core: mutates ``model``, records history, returns a
     copy of the best-validation model."""
-    params = _model_params(model)
+    # the dense pair rides along as one 2-vector, copied back after each step
+    head = [np.array([model.dense_w, model.dense_b])] if model.spec.dense_head else []
+    params = model.thetas + head
     state = AdamState.for_params(params)
     rng = np.random.default_rng(config.seed)
     n_tr = X_tr.shape[0]
@@ -202,8 +182,10 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
             best = model.copy()
         if patience is not None and step - best_step >= patience:
             break
-        adam_step(params, _grad_list(model, grads), state, config, step)
-        _sync_dense(model, params)
+        dense = [np.array([grads.dense_w, grads.dense_b])] if head else []
+        adam_step(params, grads.thetas + dense, state, config, step)
+        if head:
+            model.dense_w, model.dense_b = map(float, head[0])
         _check_finite(step, loss, params)
     history.best_step = best_step
     history.best_val_rmse = float(best_val)

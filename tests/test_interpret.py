@@ -311,6 +311,12 @@ class TestReport:
         text = rep.summary()
         assert "x1" in text and "x2" in text
         assert "t = 2*x/pi - 1" in text
+        # between layers the summary states rescale's clamp and clip
+        deep = init_model(spec_from_shape([2, 2, 1], dr_layers=1, seed=1))
+        deep.input_norm = fit_input_norm(ds.part("train")[0])
+        text = interpret.report(deep, ds).summary()
+        assert "then v clamped to [-divisor, divisor], x = pi*((v/divisor) + 1)/2 " \
+               "clipped to [0, pi], per unit" in text
 
     def test_report_file_round_trip(self, tmp_path):
         model, ds = self.trained_model()

@@ -698,6 +698,21 @@ def _whole_layer_backward(m, X, y):
     return grads
 
 
+def _chain_spans(active):
+    """Each layer's block inputs and units by the chain rule: a layer's
+    units are those its own live edges or the next layer's touch (the last
+    layer's one unit, the output, always), and a layer's inputs are the
+    previous layer's units (layer 0's: the inputs with a live edge)."""
+    spans = []
+    ins = np.flatnonzero(active[0].any(axis=1))
+    for k, a in enumerate(active):
+        used = (np.ones(a.shape[1], dtype=bool) if k == len(active) - 1
+                else a.any(axis=0) | active[k + 1].any(axis=1))
+        spans.append((ins, np.flatnonzero(used)))
+        ins = spans[-1][1]
+    return spans
+
+
 def _check_live_blocks(m, rng, rows=6):
     X = rng.uniform(0, 1, (rows, m.spec.input_dim))
     y = rng.normal(size=rows)
@@ -714,12 +729,12 @@ def _check_live_blocks(m, rng, rows=6):
     for s, active in zip(edge_scores(m, X), m.edge_active):
         npt.assert_array_equal(np.isnan(s), ~active)
 
-    # an all-live layer's block is the whole layer, indexed with plain slices
+    # a block spanning the whole layer is indexed with plain slices
     series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
                                m.edge_active)
-    for k, (active, blk) in enumerate(zip(m.edge_active, series)):
-        whole = active.any(axis=1).all() and (
-            k == len(series) - 1 or active.any(axis=0).all())
+    for (ins, outs), active, blk in zip(_chain_spans(m.edge_active), m.edge_active,
+                                        series):
+        whole = (ins.size, outs.size) == active.shape
         assert whole == all(isinstance(a, slice) for a in blk.at)
     _check_network_oracles(m, X[:6], y[:6], rng)
 
@@ -744,6 +759,8 @@ def test_live_blocks_match_whole_layers(case):
     # would round otherwise than over the whole layer
     ((6, 8, 4, 1), {1: np.s_[:, 1:]}, 1),
     ((6, 8, 4, 1), {1: np.s_[:, 1:]}, 300),
+    # an idle unit: live inputs, read by none, so a zero row of the next block
+    ((3, 2, 1), {1: np.s_[1, :]}, 6),
 ])
 def test_live_blocks_on_dead_units(shape, dead, rows):
     m = small_model(shape, dr_layers=2, seed=7, dense=True, bias_flag=1)
@@ -803,9 +820,6 @@ def test_compiled_series_cache_is_safe(case):
         for a in (blk.c, blk.J, blk.div):
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0.0
-        if blk.feed is not None:
-            with pytest.raises(ValueError, match="read-only"):
-                blk.feed[...] = 0
 
 
 @st.composite
@@ -826,19 +840,17 @@ def _merged_networks(draw):
 @given(case=_merged_networks())
 def test_merged_compile_equals_lone_compile(case):
     # each layer's block of the network's one compile is bit-equal to
-    # compiling that layer alone, and spans exactly its live inputs and units
+    # compiling that layer alone, and spans exactly its chained inputs and units
     m, _ = case
     series = network._compiled(m.spec.layers, m.spec.template, m.thetas,
                                m.edge_active)
-    for k, (layer, thetas, active, blk) in enumerate(zip(
-            m.spec.layers, m.thetas, m.edge_active, series)):
+    for layer, thetas, active, blk, (ins, outs) in zip(
+            m.spec.layers, m.thetas, m.edge_active, series,
+            _chain_spans(m.edge_active)):
         K1, c1, J1 = _series(_flat_edges(thetas), layer.qubits_per_edge,
                              layer.entangle, m.spec.template)
         c1 = c1.reshape(active.shape + c1.shape[1:])
         J1 = J1.reshape(thetas.shape + J1.shape[-1:])
-        ins = np.flatnonzero(active.any(axis=1))
-        # the last layer's block always holds its one unit, the output
-        outs = np.flatnonzero(active.any(axis=0) | (k == len(series) - 1))
         npt.assert_array_equal(np.arange(layer.fan_in)[blk.ins], ins)
         npt.assert_array_equal(np.arange(layer.units)[blk.outs], outs)
         assert blk.K == K1
