@@ -2,13 +2,13 @@
 
 Every edge of the network is a univariate map from the encoding domain
 [0, pi] into [-1, 1], so each one can be sampled on a grid and fitted with a
-low-degree polynomial.  ``report`` reads the samples from each layer's
-compiled Fourier series (the evaluator the network itself runs), not from
-the circuit; ``sample_edge`` simulates one edge's circuit and stays as the
-independent reference for plots and tests.  Composing those polynomials
-through the rescale maps (affine, then clamped to [0, pi]) and the dense
-head gives a classical surrogate whose error against the model is measured
-directly.
+low-degree polynomial.  ``report`` samples every live edge through
+``network.edge_samples``, from the compiled Fourier series the network
+itself runs, not from the circuit; ``sample_edge`` simulates one edge's
+circuit and stays as the independent reference for plots and tests.
+Composing those polynomials through the rescale maps (affine, then clamped
+to [0, pi]) and the dense head gives a classical surrogate whose error
+against the model is measured directly.
 
 ``report`` fits all live edges of the network together, with one
 least-squares solve per degree over the edges still short of the R^2
@@ -29,8 +29,8 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .dr import dr_forward_batch
-from .network import (Model, _compiled, _layer_eval, _unit_divisors,
-                      apply_input_norm, network_forward, rescale, spec_from_shape)
+from .network import (Model, apply_input_norm, edge_samples, network_forward,
+                      rescale, spec_from_shape, unit_divisors)
 from .data import (check_records, read_record, read_records, write_csv_rows,
                    write_records)
 
@@ -279,10 +279,10 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
            max_degree: int = DEFAULT_MAX_DEGREE,
            r2_target: float = DEFAULT_R2_TARGET) -> InterpretReport:
     """Fit every active edge, compose the surrogate, and measure its RMSE
-    against the model.  Each layer's edges are sampled on the grid in one
-    evaluation of its compiled Fourier series, read from the same memo the
-    network's forward pass uses, so the fits see exactly the function the
-    model serves.  The live edges of all layers are then fitted together,
+    against the model.  The edges are sampled on the grid by
+    ``network.edge_samples``, from the compiled Fourier series the network's
+    forward pass uses, so the fits see exactly the function the model
+    serves.  The live edges of all layers are then fitted together,
     one least-squares solve per degree (see ``_fit_polys``).  ``dataset``
     supplies the evaluation inputs (the test split when one is attached,
     otherwise all rows)."""
@@ -290,18 +290,7 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
         raise RuntimeError("model has no fitted input normalization")
     check_settings(grid_size, max_degree)
     xs = np.linspace(0.0, np.pi, grid_size)
-    divisors = []
-    samples = []  # one row per live edge, in (layer, input, unit) order
-    series = _compiled(model.spec.layers, model.spec.template, model.thetas,
-                       model.edge_active)
-    for k, blk in enumerate(series):
-        divisors.append(_unit_divisors(model.edge_active[k]).tolist())
-        # only the live block is evaluated; its edge values come back
-        # (grid, |ins|, |outs|) over a grid-innermost array
-        f = _layer_eval(np.repeat(xs[:, None], len(blk.c), axis=1), blk.K,
-                        blk.c, want_grads=False)[1]
-        samples.append(f.transpose(1, 2, 0)[model.edge_active[k][blk.at]])
-    fits = iter(_fit_polys(xs, np.concatenate(samples), max_degree, r2_target))
+    fits = iter(_fit_polys(xs, edge_samples(model, xs), max_degree, r2_target))
     edges = [EdgeReport(edge_id=(k, i, u), active=bool(live),
                         fit=next(fits) if live else None)
              for k, active in enumerate(model.edge_active)
@@ -314,7 +303,7 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
         shape=(model.spec.input_dim,) + tuple(l.units for l in model.spec.layers),
         input_norm=np.asarray(model.input_norm, dtype=np.float64),
         edges=edges,
-        divisors=divisors,
+        divisors=[unit_divisors(active).tolist() for active in model.edge_active],
         bias_flag=model.spec.bias_flag,
         dense=(model.dense_w, model.dense_b) if model.spec.dense_head else None,
         surrogate_rmse=0.0,
@@ -379,7 +368,7 @@ def load_report(path) -> InterpretReport:
 
     def divisors(values, k):
         # each unit divides by its live incoming edges, at least 1
-        live = _unit_divisors(np.array([[fits[k, i, u] is not None
+        live = unit_divisors(np.array([[fits[k, i, u] is not None
                                          for u in range(shape[k + 1])]
                                         for i in range(shape[k])])).tolist()
         if values[0] != live:

@@ -252,9 +252,9 @@ def rescale(values, fan_in, b: int = 0):
     return np.clip(((values / cap) + (1 - b)) / 2.0 * np.pi, 0.0, np.pi)
 
 
-def _unit_divisors(active: np.ndarray) -> np.ndarray:
-    # per-unit effective fan-in; dead units (no live edges) get 1 to avoid
-    # 0/0 -- a dead unit reads v = 0
+def unit_divisors(active: np.ndarray) -> np.ndarray:
+    """Each unit's rescale divisor: its live incoming edges counted from the
+    (fan_in, units) mask, at least 1, so a dead unit reads v = 0."""
     counts = active.sum(axis=0).astype(np.float64)
     return np.maximum(counts, 1.0)
 
@@ -267,14 +267,15 @@ _MEMO_STATES = 8
 
 
 class _Block(NamedTuple):
-    """One layer's live block, as ``_compiled`` keeps it.
+    """One layer's live block as ``_compiled`` keeps it, read only here.
 
     ``outs`` are the units that the layer's own live edges or the next
     layer's touch (the last layer's one unit, the output, always), and
     ``ins`` are the previous layer's ``outs`` (layer 0's: the inputs with a
     live edge), so blocks chain; each is ``slice(None)`` when the whole
     axis is live, else an index array, and ``at`` indexes the block on the
-    layer's (input, unit) axes.  ``c`` is the block's (|ins|, |outs|, 2K+1)
+    layer's (input, unit) axes.  ``live`` is the block's own edge mask,
+    (|ins|, |outs|).  ``c`` is the block's (|ins|, |outs|, 2K+1)
     coefficients and ``J`` their Jacobian on the same axes,
     (L, |ins|, |outs|, [n,] P, 2K+1); both hold the layer's rows of the
     compile, and 0 on dead edges, so a unit with no live edge sums to 0 and
@@ -286,6 +287,7 @@ class _Block(NamedTuple):
     ins: object
     outs: object
     at: tuple
+    live: np.ndarray
     c: np.ndarray
     J: np.ndarray
     div: np.ndarray
@@ -314,6 +316,9 @@ def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple)
     # their live edges in (layer, input, unit) order; each layer's rows
     # are then scattered into its block, where dead edges stay 0
     P = template.params_per_layer
+    for k, a in enumerate(angles):
+        if not np.all(np.isfinite(np.frombuffer(a))):
+            raise ValueError(f"layer {k}: all angles must be finite")
     plans = _live_blocks(layers, masks)
     groups = {}
     for k, layer in enumerate(layers):
@@ -326,22 +331,22 @@ def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple)
              for k in ks], axis=1), n, entangle, template)
         start = 0
         for k in ks:
-            m, ins, outs, at, div = plans[k]
+            m, ins, outs, at, live, div = plans[k]
             stop = start + np.count_nonzero(m)
-            cb = np.zeros(m[at].shape + c.shape[1:])
-            cb[m[at]] = c[start:stop]
-            Jb = np.zeros(J.shape[:1] + m[at].shape + J.shape[2:])
-            Jb[:, m[at]] = J[:, start:stop]
+            cb = np.zeros(live.shape + c.shape[1:])
+            cb[live] = c[start:stop]
+            Jb = np.zeros(J.shape[:1] + live.shape + J.shape[2:])
+            Jb[:, live] = J[:, start:stop]
             start = stop
             cb.flags.writeable = Jb.flags.writeable = False
-            blocks[k] = _Block(K, ins, outs, at, cb, Jb, div)
+            blocks[k] = _Block(K, ins, outs, at, live, cb, Jb, div)
     return tuple(blocks)
 
 
 @lru_cache(maxsize=_MEMO_STATES)
 def _live_blocks(layers: tuple, masks: tuple) -> tuple:
     """Per layer, what the edge masks alone decide (see ``_Block``): the
-    mask, ins, outs, at and div.  Memoised apart from the angles, which
+    mask, ins, outs, at, live and div.  Memoised apart from the angles, which
     change every training step, while masks change only in pruning."""
     masks = [np.frombuffer(m, dtype=bool).reshape(layer.fan_in, layer.units)
              for m, layer in zip(masks, layers)]
@@ -352,9 +357,9 @@ def _live_blocks(layers: tuple, masks: tuple) -> tuple:
         outs = slice(None) if last else _live(m.any(axis=0) | masks[k + 1].any(axis=1))
         at = ((ins, outs) if isinstance(ins, slice) or isinstance(outs, slice)
               else np.ix_(ins, outs))
-        div = _unit_divisors(m)[outs]
-        div.flags.writeable = False
-        plans.append((m, ins, outs, at, div))
+        live, div = m[at], unit_divisors(m)[outs]
+        live.flags.writeable = div.flags.writeable = False
+        plans.append((m, ins, outs, at, live, div))
         ins = outs
     return tuple(plans)
 
@@ -480,6 +485,29 @@ def network_forward(raw_input, model: Model):
     arr = np.asarray(raw_input, dtype=np.float64)
     out, _ = _forward_pass(model, arr, want_grads=False)
     return float(out[0]) if arr.ndim <= 1 else out
+
+
+def edge_scores(model: Model, X_train) -> list:
+    """Per-layer arrays (fan_in, units): std of each edge's DR output over
+    the training inputs; inactive edges score NaN."""
+    _, caches = _forward_pass(model, X_train, want_grads=False)
+    scores = [np.full(active.shape, np.nan) for active in model.edge_active]
+    for s, cache in zip(scores, caches):
+        blk = cache["blk"]
+        s[blk.at] = np.where(blk.live, cache["f"].std(axis=0), np.nan)
+    return scores
+
+
+def edge_samples(model: Model, xs) -> np.ndarray:
+    """Every live edge on the encoded grid ``xs`` (grid,), one row per edge
+    in (layer, input, unit) order."""
+    x, rows = np.asarray(xs, dtype=np.float64)[:, None], []
+    for blk in _compiled(model.spec.layers, model.spec.template, model.thetas,
+                         model.edge_active):
+        f = _layer_eval(np.repeat(x, len(blk.c), axis=1), blk.K, blk.c,
+                        want_grads=False)[1]
+        rows.append(f.transpose(1, 2, 0)[blk.live])
+    return np.concatenate(rows)
 
 
 @dataclass

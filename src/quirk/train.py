@@ -24,7 +24,7 @@ from .data import Dataset, write_csv_rows
 from .network import (
     Model,
     NetworkSpec,
-    _forward_pass,
+    edge_scores,
     fit_input_norm,
     init_model,
     network_backward,
@@ -53,8 +53,10 @@ class TrainConfig:
     early_stop_patience: int = 500
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("learning_rate", "epsilon"):
+            v = getattr(self, name)
+            if not 0 < v < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
         for name in ("beta1", "beta2"):
             v = getattr(self, name)
             if not 0 < v < 1:
@@ -63,8 +65,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
         if self.early_stop_patience < 1:
             raise ValueError("early_stop_patience must be >= 1")
 
@@ -142,9 +142,9 @@ def _check_finite(step: int, loss: float, params) -> None:
 
 
 def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
-         max_steps: int, patience: int | None, history: TrainHistory) -> Model:
-    """Shared optimizer core: mutates ``model``, records history, returns a
-    copy of the best-validation model."""
+         max_steps: int, patience: int | None):
+    """Shared optimizer core: mutates ``model`` and returns (a copy of the
+    best-validation model, its TrainHistory)."""
     # the dense pair rides along as one 2-vector, copied back after each step
     head = [np.array([model.dense_w, model.dense_b])] if model.spec.dense_head else []
     params = model.thetas + head
@@ -157,6 +157,7 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
     best = model.copy()
     best_val = np.inf
     best_step = -1
+    history = TrainHistory()
     t0 = time.perf_counter()
     # each step records RMSE of the parameters entering the step, then
     # updates; train RMSE comes from the backward pass's own predictions, so
@@ -189,7 +190,7 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
         _check_finite(step, loss, params)
     history.best_step = best_step
     history.best_val_rmse = float(best_val)
-    return best
+    return best, history
 
 
 def _split(dataset: Dataset, config: TrainConfig):
@@ -221,22 +222,8 @@ def train(dataset: Dataset, spec: NetworkSpec, config: TrainConfig | None = None
 
     model = init_model(spec)
     model.input_norm = fit_input_norm(X_tr)
-    history = TrainHistory()
-    best = _fit(model, X_tr, y_tr, X_val, y_val, config,
-                config.max_steps, config.early_stop_patience, history)
-    return best, history
-
-
-def edge_scores(model: Model, X_train) -> list:
-    """Per-layer arrays (fan_in, units): std of each edge's DR output over
-    the training inputs; inactive edges score NaN."""
-    _, caches = _forward_pass(model, X_train, want_grads=False)
-    scores = []
-    for active, cache in zip(model.edge_active, caches):
-        s = np.full(active.shape, np.nan)
-        s[cache["blk"].at] = cache["f"].std(axis=0)
-        scores.append(np.where(active, s, np.nan))
-    return scores
+    return _fit(model, X_tr, y_tr, X_val, y_val, config,
+                config.max_steps, config.early_stop_patience)
 
 
 def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,
@@ -283,7 +270,6 @@ def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,
         return pruned  # nothing fell below threshold
 
     if fine_tune_steps > 0:
-        history = TrainHistory()
         pruned = _fit(pruned, X_tr, y_tr, X_val, y_val, config,
-                      fine_tune_steps, None, history)
+                      fine_tune_steps, None)[0]
     return pruned

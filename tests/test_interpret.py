@@ -591,6 +591,13 @@ class TestReport:
         # surrogate must also skip it
         assert interpret.surrogate_forward(rep, Plain.X).shape == (30,)
 
+    def test_report_rejects_non_finite_angles(self):
+        m = theta_zero_model([2, 2, 1], dr_layers=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            m.thetas[1][0, 1, 0, 1] = bad
+            with pytest.raises(ValueError, match="layer 1: all angles must be finite"):
+                interpret.report(m, plain_dataset(2))
+
     def test_surrogate_rejects_non_finite_features(self):
         m = theta_zero_model([2, 1])
         rep = interpret.report(m, plain_dataset(2))

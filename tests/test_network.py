@@ -226,6 +226,26 @@ class TestForward:
                 network.layer_forward(np.array([[0.1, 0.2], [0.5, bad]]), m.thetas[0],
                                       m.edge_active[0])
 
+    def test_layer_forward_rejects_non_finite_angles(self):
+        m = small_model((2, 1), dr_layers=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            thetas = m.thetas[0].copy()
+            thetas[1, 0, 0, 1] = bad
+            with pytest.raises(ValueError, match="layer 0: all angles must be finite"):
+                network.layer_forward(np.array([0.3, 0.4]), thetas)
+
+    def test_network_forward_rejects_non_finite_angles(self):
+        # angles written after construction fail at the compile, not as NaN
+        m = small_model((2, 2, 1), dr_layers=2)
+        X = np.array([[0.1, 0.2], [0.7, 0.4]])
+        good, angle = network_forward(X, m), m.thetas[1][0, 1, 0, 1]
+        for bad in (np.nan, np.inf, -np.inf):
+            m.thetas[1][0, 1, 0, 1] = bad
+            with pytest.raises(ValueError, match="layer 1: all angles must be finite"):
+                network_forward(X, m)
+        m.thetas[1][0, 1, 0, 1] = angle  # a failed compile leaves no memo entry
+        npt.assert_array_equal(network_forward(X, m), good)
+
     def test_pruned_edge_excluded_and_divisor_updates(self):
         m = small_model((2, 1, 1), dr_layers=1, seed=5)
         X = np.random.default_rng(3).uniform(0, 1, (9, 2))
@@ -311,6 +331,14 @@ class TestBackward:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="at least one row"):
                 network_backward(np.zeros((0, 2)), np.zeros(0), m)
+
+    def test_non_finite_angles_rejected(self):
+        m = small_model((2, 2, 1), dr_layers=2, dense=True)
+        X = np.array([[0.1, 0.2], [0.7, 0.4]])
+        for bad in (np.nan, np.inf, -np.inf):
+            m.thetas[1][1, 0, 0, 0] = bad
+            with pytest.raises(ValueError, match="layer 1: all angles must be finite"):
+                network_backward(X, np.zeros(2), m)
 
     def test_pruned_gradients_zero(self):
         m = small_model((2, 2, 1), dr_layers=2, seed=6)

@@ -1,5 +1,6 @@
 """The benchmark harness reaches into the package by name; a renamed or
-removed name must fail here, not only in a benchmark run."""
+removed name must fail here, not only in a benchmark run.  The package's own
+modules keep to network.py's public names."""
 
 import ast
 import importlib
@@ -35,3 +36,17 @@ def test_benchmark_names_resolve():
     missing = sorted(f"{module}.{name}" for module, name in names
                      if not hasattr(importlib.import_module(module), name))
     assert not missing, f"benchmarks/run.py uses missing names: {missing}"
+
+
+def test_only_network_reads_its_private_names():
+    """The compiled block layout is network.py's own: the modules built on it
+    import no private name from it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "quirk"
+    private = []
+    for module in ("train", "interpret", "cli"):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        private += [f"{module}.py: {alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and node.module in ("network", "quirk.network")
+                    for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"private names imported from quirk.network: {private}"

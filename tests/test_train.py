@@ -55,6 +55,14 @@ class TestAdam:
         npt.assert_allclose(params[0], 1.0 - 0.01, rtol=1e-6)
 
 
+@pytest.mark.parametrize("name", ["learning_rate", "epsilon"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1e-3])
+def test_config_rejects_rates_outside_finite_positives(name, value):
+    # inf epsilon would freeze training and inf learning_rate diverge at step 1
+    with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+        TrainConfig(**{name: value})
+
+
 class TestRmse:
     def test_basic(self):
         assert rmse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
