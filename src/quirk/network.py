@@ -14,7 +14,9 @@ Parameters are stored stacked per layer -- thetas[k] has shape
 (L, fan_in, units, P) for single-qubit edges, (L, fan_in, units, n, P)
 for n-qubit edges.  Every edge is compiled to its exact Fourier series in
 x, and every forward and backward pass evaluates a layer as a real-valued
-contraction with the basis [1, cos kx, sin kx].  The compile is memoised on
+contraction with the basis [1, cos kx, sin kx], in fixed tiles of
+``_TILE`` rows with one BLAS product per tile and edge, so a row reads the
+same bits in a batch of any size.  The compile is memoised on
 the whole network's state (``_compiled``: layer specs, template, angles and
 edge masks): a miss makes one ``dr._series`` call for each group of layers
 that share their wiring (one statevector sweep over 2K+1 nodes for all their
@@ -364,6 +366,14 @@ def _live_blocks(layers: tuple, masks: tuple) -> tuple:
     return tuple(plans)
 
 
+# rows per tile of _layer_eval.  Every series product is (1, 2K+1)·(2K+1,
+# _TILE) whatever the batch, so a row gets the same BLAS call in any batch;
+# a setting would let the last bits of a model's outputs depend on it.
+# Smaller tiles make more and slower calls on big batches; bigger ones make
+# a single row pay for more padding.
+_TILE = 64
+
+
 def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
     """Evaluate one layer's live block on its normalized inputs h (B, |ins|)
     from its compiled series: degree K and coefficients c (|ins|, |outs|,
@@ -371,39 +381,48 @@ def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
     cost nothing; a fully live layer's block is the whole layer.
 
     Edge (i, u) reads f(x) = c_0 + sum_k c_k cos kx + c_{K+k} sin kx.  The
-    basis depends on the input only.  f accumulates in a fixed loop of
-    broadcast multiply-adds over rows, and unit sums add the inputs in
-    order, so a row gets the same arithmetic in any batch.  Returns
+    batch is padded to whole tiles of ``_TILE`` rows, and the basis
+    [1, cos kx, sin kx] is built on it by angle addition.  f is one stacked
+    matmul of one (1, 2K+1)·(2K+1, _TILE) product per tile and edge, and
+    unit sums add the inputs in order, so a row gets the same arithmetic at
+    any batch size and at any row offset, and an edge in any block.  Returns
     (unit_sums (B, |outs|), edge_vals (B, |ins|, |outs|), basis or None
-    unless ``want_grads``); the basis is (|ins|, 2K+1, B) with contiguous
-    rows, so each input's (2K+1, B) matrix has one layout in any block.
+    unless ``want_grads``), none holding a padded row; the basis is
+    (|ins|, 2K+1, B), each input's (2K+1, B) matrix with its rows
+    contiguous.
     """
-    x = np.ascontiguousarray(h.T)
-    cos1, sin1 = np.cos(x), np.sin(x)
-    # the backward pass needs the whole basis; a forward pass keeps only
-    # the current frequency, so big batches need no (2K+1)-fold copy
-    basis = np.empty((x.shape[0], 2 * K + 1, x.shape[1])) if want_grads else None
-    # f[i, u, b], rows innermost
-    f = np.empty(c.shape[:2] + x.shape[1:])
-    f[...] = c[:, :, :1]
-    term = np.empty_like(f)
-    cos_k, sin_k = cos1, sin1
-    for k in range(1, K + 1):
-        if k > 1:  # angle addition
-            cos_k, sin_k = cos_k * cos1 - sin_k * sin1, sin_k * cos1 + cos_k * sin1
-        f += np.multiply(cos_k[:, None, :], c[:, :, k:k + 1], out=term)
-        f += np.multiply(sin_k[:, None, :], c[:, :, K + k:K + k + 1], out=term)
-        if want_grads:
-            basis[:, k], basis[:, K + k] = cos_k, sin_k
-    if want_grads:
-        basis[:, 0] = 1.0
+    B, n_ins = h.shape
+    tiles = -(-B // _TILE)
+    rows = tiles * _TILE
+    # stored frequency-major, so that each term is one contiguous
+    # (|ins|, rows) array; the basis and the tiles are views of it
+    terms = np.empty((2 * K + 1, n_ins, rows))
+    x, work = terms[0], np.empty((n_ins, rows))
+    x[:, B:] = 0.0  # padded rows, dropped below
+    x[:, :B] = h.T
+    cos1, sin1 = np.cos(x, out=terms[1]), np.sin(x, out=terms[K + 1])
+    for k in range(2, K + 1):  # angle addition
+        np.multiply(terms[k - 1], cos1, out=terms[k])
+        terms[k] -= np.multiply(terms[K + k - 1], sin1, out=work)
+        np.multiply(terms[K + k - 1], cos1, out=terms[K + k])
+        terms[K + k] += np.multiply(terms[k - 1], sin1, out=work)
+    x[...] = 1.0
+    # by_tile[t, i] is input i's (2K+1, _TILE) basis on tile t; the matmul
+    # makes one (1, 2K+1)·(2K+1, _TILE) product per tile and edge into
+    # f[i, u], rows innermost
+    by_tile = terms.reshape(terms.shape[:2] + (tiles, _TILE)).transpose(2, 1, 0, 3)
+    f = np.empty(c.shape[:2] + (tiles, _TILE))
+    np.matmul(c[:, :, None, :], by_tile[:, :, None],
+              out=f.transpose(2, 0, 1, 3)[:, :, :, None])
+    f = f.reshape(c.shape[:2] + (rows,))
     # a readout <Z> lies in [-1, 1]; keep the series' rounding inside it
     np.minimum(f, 1.0, out=f)
     np.maximum(f, -1.0, out=f)
     sums = f[0].copy() if len(f) else np.zeros(f.shape[1:])  # all edges pruned
     for i in range(1, c.shape[0]):
         sums += f[i]
-    return sums.T, f.transpose(2, 0, 1), basis
+    return (sums[:, :B].T, f[..., :B].transpose(2, 0, 1),
+            terms[..., :B].transpose(1, 0, 2) if want_grads else None)
 
 
 def _finite_features(X: np.ndarray) -> None:

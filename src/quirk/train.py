@@ -61,12 +61,15 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1 (or None for full batch)")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+        # counts and the seed are integers (a bool is not); batch_size may
+        # also be None for the full batch
+        for name, least in (("batch_size", 1), ("max_steps", 1),
+                            ("early_stop_patience", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if name == "batch_size" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quirk import network
 from quirk.data import Dataset
+from quirk.interpret import DEFAULT_GRID_SIZE
 from quirk.train import edge_scores
 from quirk.dr import DEFAULT_TEMPLATE, SU2_TEMPLATE, GateTemplate, _forward, _grad, _series
 from quirk.network import (LayerSpec, Model, ModelFormatError,
@@ -934,3 +935,66 @@ def test_cold_train_compiles_once_per_step(monkeypatch):
                     TrainConfig(max_steps=12, seed=0, early_stop_patience=12))
     info = network._compile.cache_info()
     assert len(hist.steps) == len(calls) == info.misses == info.hits == 12
+
+
+# --- fixed row tiles --------------------------------------------------------
+
+_TILE_BATCHES = (1, 63, 64, 65, 129, 2100)
+
+
+def _narrowed_model(qubits, seed, one_unit=False):
+    # wide enough for the BLAS kernels whose choice depends on a product's
+    # shape; masks narrow blocks and may leave units dead
+    m = small_model((6, 8, 4, 1), dr_layers=2 if qubits == 1 else 1, seed=seed,
+                    dense=True, qubits_per_edge=qubits, entangle=qubits > 1)
+    rng = np.random.default_rng(seed)
+    m.edge_active = [rng.uniform(size=a.shape) < 0.6 for a in m.edge_active]
+    if one_unit:  # the middle block keeps one unit of four, whose product
+        # a per-input matmul would hand to gemv instead of gemm
+        m.edge_active[1][:, 1:] = False
+        m.edge_active[1][0, 0] = True
+        m.edge_active[2][1:, :] = False
+    m.edge_active[-1][0, 0] = True
+    return m, rng
+
+
+@pytest.mark.parametrize("qubits,seed,one_unit", [
+    (1, 0, False), (1, 1, True), (2, 2, False), (2, 3, True)])
+def test_rows_are_bit_equal_at_every_tile_offset(qubits, seed, one_unit):
+    m, rng = _narrowed_model(qubits, seed, one_unit)
+    X = rng.uniform(0, 1, (max(_TILE_BATCHES), 6))
+    y = rng.normal(size=len(X))
+    full = network_forward(X, m)
+    assert full.tobytes() == _whole_layer_forward(m, X).tobytes()
+    # one row sits at offset 0 of its own tile ...
+    for r in range(network._TILE):
+        j = r + network._TILE * (r % 32)
+        assert network_forward(X[j], m) == full[j]
+    # ... and a window starting at s puts row j at offset (j - s) % 64
+    for s in range(network._TILE):
+        assert network_forward(X[s:s + 65], m).tobytes() == full[s:s + 65].tobytes()
+    for B in _TILE_BATCHES:
+        assert network_forward(X[:B], m).tobytes() == full[:B].tobytes()
+        _, _, grads = network_backward(X[:B], y[:B], m)
+        for g, whole in zip(grads.thetas, _whole_layer_backward(m, X[:B], y[:B])):
+            npt.assert_array_equal(g, whole)  # to the last bit
+
+
+def test_edge_scores_read_real_rows_only():
+    m, rng = _narrowed_model(1, 4)
+    X = rng.uniform(0, 1, (100, 6))  # not a multiple of the tile
+    singles = [network._forward_pass(m, x[None], want_grads=False)[1] for x in X]
+    for k, s in enumerate(edge_scores(m, X)):
+        blk = singles[0][k]["blk"]
+        f = np.concatenate([caches[k]["f"] for caches in singles])
+        npt.assert_allclose(s[blk.at][blk.live], f.std(axis=0)[blk.live],
+                            rtol=1e-12, atol=0)
+
+
+def test_edge_samples_return_the_grid_rows_only():
+    m, _ = _narrowed_model(1, 5)
+    xs = np.linspace(0.0, np.pi, DEFAULT_GRID_SIZE)
+    samples = network.edge_samples(m, xs)
+    assert samples.shape == (sum(int(a.sum()) for a in m.edge_active), len(xs))
+    for j in (0, 63, 64, 256):
+        assert samples[:, j].tobytes() == network.edge_samples(m, xs[j:j + 1])[:, 0].tobytes()

@@ -63,6 +63,22 @@ def test_config_rejects_rates_outside_finite_positives(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name,value", [
+    ("max_steps", 2.5), ("max_steps", True), ("batch_size", 2.5),
+    ("batch_size", False), ("early_stop_patience", 2.5), ("seed", -1),
+    ("seed", 1.0)])
+def test_config_rejects_non_integer_counts_and_negative_seed(name, value):
+    # unless rejected here, each fails deep inside training or trains on
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        TrainConfig(**{name: value})
+
+
+def test_config_takes_numpy_integers():
+    cfg = TrainConfig(max_steps=np.int64(3), batch_size=np.int32(4), seed=np.uint8(0),
+                      early_stop_patience=np.int64(2))
+    assert cfg.max_steps == 3 and cfg.batch_size == 4
+
+
 class TestRmse:
     def test_basic(self):
         assert rmse(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
