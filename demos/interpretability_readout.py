@@ -15,8 +15,8 @@ import numpy as np
 
 from quirk import svgplot
 from quirk.data import generate
-from quirk.interpret import report, sample_edge, surrogate_forward
-from quirk.network import network_forward, spec_from_shape
+from quirk.interpret import DEFAULT_GRID_SIZE, report, surrogate_forward
+from quirk.network import edge_samples, network_forward, spec_from_shape
 from quirk.train import TrainConfig, rmse, train
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "interpret")
@@ -61,14 +61,17 @@ surr = surrogate_forward(rep, X_test)
 print(f"surrogate vs raw targets RMSE {rmse(surr, y_test):.3e} "
       "-- the closed form predicts about as well as the network itself")
 
-for e in rep.edges:
+# every live edge on the report's grid, from the series the model serves;
+# the rows follow the live edges of rep.edges
+xs = np.linspace(0.0, np.pi, DEFAULT_GRID_SIZE)
+t = 2.0 * xs / np.pi - 1.0
+live = [e for e in rep.edges if e.active]
+for e, ys in zip(live, edge_samples(model, xs)):
     layer, i, u = e.edge_id
-    s = sample_edge(model, e.edge_id)
-    t = 2.0 * s.xs / np.pi - 1.0
     path = os.path.join(OUT, f"edge_{layer}_{i}_{u}.svg")
     svgplot.save(path,
-                 [svgplot.Series(s.xs, s.ys, label="circuit output"),
-                  svgplot.Series(s.xs, e.fit(t),
+                 [svgplot.Series(xs, ys, label="edge output"),
+                  svgplot.Series(xs, e.fit(t),
                                  label=f"degree-{e.fit.degree} fit")],
                  title=f"edge ({layer},{i},{u})", xlabel="x", ylabel="f(x)")
     print(f"wrote {path}")

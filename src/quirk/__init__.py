@@ -12,8 +12,6 @@ from .dr import (
     DRParams,
     GateTemplate,
     dr_forward_batch,
-    dr_gradient,
-    init_dr_params,
 )
 from .network import (
     LayerSpec,
@@ -52,12 +50,10 @@ from .data import (
 from .bspline import BSplineModel, basis_eval
 from .bspline import fit as fit_bspline
 from .interpret import (
-    EdgeFunctionSample,
     InterpretReport,
     PolyFit,
     fit_poly,
     report,
-    sample_edge,
     surrogate_forward,
 )
 

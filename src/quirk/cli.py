@@ -26,8 +26,9 @@ from .data import (CSVFormatError, EQUATIONS, UNIVARIATE_ALIASES,
                    generate, generate_univariate, read_csv_rows,
                    resolve_univariate, target_scale, write_csv_rows)
 from .dr import DEFAULT_TEMPLATE, SU2_TEMPLATE
-from .network import (ModelFormatError, ModelVersionError, load_model,
-                      network_forward, param_count, save_model, spec_from_shape)
+from .network import (ModelFormatError, ModelVersionError, edge_samples,
+                      load_model, network_forward, param_count, save_model,
+                      spec_from_shape)
 from .train import (DEFAULT_PRUNE_TAU, TrainConfig, TrainingDivergedError,
                     prune, rmse, train)
 
@@ -335,15 +336,15 @@ def cmd_interpret(args) -> int:
     interpret.save_report(rep, os.path.join(out, "report.txt"))
     interpret.save_coeffs_csv(rep, os.path.join(out, "coefficients.csv"))
     if cfg["interpret"]["svg"]:
-        for e in rep.edges:
-            if not e.active:
-                continue
+        # the rows of edge_samples follow the live edges of rep.edges
+        xs = np.linspace(0.0, np.pi, settings["grid_size"])
+        live = [e for e in rep.edges if e.active]
+        for e, ys in zip(live, edge_samples(model, xs)):
             layer, i, u = e.edge_id
-            s = interpret.sample_edge(model, e.edge_id, settings["grid_size"])
             svgplot.save(
                 os.path.join(out, f"edge_{layer}_{i}_{u}.svg"),
-                [svgplot.Series(s.xs, s.ys, "edge output", points=True),
-                 svgplot.Series(s.xs, e.fit(interpret._to_t(s.xs)),
+                [svgplot.Series(xs, ys, "edge output", points=True),
+                 svgplot.Series(xs, e.fit(interpret._to_t(xs)),
                                 f"degree-{e.fit.degree} fit")],
                 title=f"edge ({layer}, {i}, {u})", xlabel="x (encoded)",
                 ylabel="f(x)")

@@ -8,11 +8,11 @@ trainable rotations fed by angles::
 The readout is <Z> of the final state, a smooth function of x in [-1, 1].
 An n-qubit edge runs every gate of a layer on each qubit (with its own
 angles), optionally followed by a ring of CNOTs, and reads <Z> on qubit 0.
-Gradients with respect to every angle (and x itself) are computed in one
-adjoint reverse sweep that undoes each gate on the final state and its
-adjoint together (stacked on one axis), so no per-gate state is stored and
-the cost is O(L) per sample; the parameter-shift rule exists in the test
-suite as an independent oracle, not here.
+Gradients with respect to every angle are computed in one adjoint reverse
+sweep that undoes each gate on the final state and its adjoint together
+(stacked on one axis), so no per-gate state is stored and the cost is O(L)
+per sample; the parameter-shift rule exists in the test suite as an
+independent oracle, not here.
 
 Internally everything is vectorized: the kernel accepts an input array of
 any shape together with a stacked theta array ``(L, ..., P)`` (one qubit)
@@ -24,9 +24,9 @@ runs the adjoint sweep once on 2K+1 nodes for a flat stack of edges and
 turns each edge's values and angle gradients into its Fourier coefficients
 and their Jacobian with a fixed real DFT, the same product for every edge.
 It is a plain function: the network memoises its results, once per network
-state.  The network evaluates and trains from those coefficients; the
-statevector kernel serves ``dr_forward_batch``, ``dr_gradient`` and the
-compile step.
+state.  The network evaluates and trains from those coefficients, so the
+derivative in x comes from the series, not from the circuit; the
+statevector kernel serves ``dr_forward_batch`` and the compile step.
 """
 
 from __future__ import annotations
@@ -126,20 +126,6 @@ class DRParams:
             )
         if not np.all(np.isfinite(self.thetas)):
             raise ValueError("all angles must be finite")
-
-
-def init_dr_params(
-    num_layers: int,
-    rng: np.random.Generator,
-    num_qubits: int = 1,
-    entangle: bool = False,
-    template: GateTemplate = DEFAULT_TEMPLATE,
-) -> DRParams:
-    """Fresh angles drawn uniformly from [-pi, pi)."""
-    P = template.params_per_layer
-    shape = (num_layers, P) if num_qubits == 1 else (num_layers, num_qubits, P)
-    thetas = rng.uniform(-np.pi, np.pi, size=shape)
-    return DRParams(thetas, num_qubits=num_qubits, entangle=entangle, template=template)
 
 
 def _clamp_domain(xs: np.ndarray, clamp: bool) -> np.ndarray:
@@ -263,12 +249,11 @@ def _forward(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
 
 def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
           template: GateTemplate):
-    """Forward value plus exact per-sample gradients.
+    """Forward value plus exact per-sample angle gradients.
 
-    Returns (f, dx, dtheta) with f, dx shaped like the broadcast batch and
-    dtheta shaped (L,) + batch + thetas' trailing (P,) or (n, P).  dx sums
-    the contributions of every encoding gate; dtheta entries sit at their
-    (layer, [qubit,] param-index) slot.
+    Returns (f, dtheta) with f shaped like the broadcast batch and dtheta
+    shaped (L,) + batch + thetas' trailing (P,) or (n, P), each entry at
+    its (layer, [qubit,] param-index) slot.
     """
     batch, psi = _setup(xs, thetas, n)
     ops = _ops(n, entangle, template, thetas.shape[0])
@@ -276,10 +261,10 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
 
     # reverse sweep over state[i] = (psi_i, lam_i), lam starting as Z_0 psi_N:
     # undoing gate k with G_k^dagger takes psi_{k+1} back to psi_k, and the
-    # derivative through gate k is Im <lam | P_k | psi_{k+1}>
+    # derivative through a trainable gate k is Im <lam | P_k | psi_{k+1}>;
+    # encoding gates are only undone
     half = len(psi) // 2
     state = [np.stack((s, s if i < half else -s)) for i, s in enumerate(psi)]
-    dx = np.zeros(batch)
     encode = {}
     dtheta = np.zeros(thetas.shape[:1] + batch
                       + (thetas.shape[-1:] if n == 1 else thetas.shape[-2:]))
@@ -287,23 +272,21 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
         if kind == "cnot":  # pairs holds the inverse permutation
             state = [state[i] for i in pairs]
             continue
-        g = None
-        for i, j in pairs:
-            p0, p1 = _pauli_apply(kind, state[i][0], state[j][0])
-            t = np.conj(state[i][1]) * p0 + np.conj(state[j][1]) * p1
-            g = t if g is None else g + t
-        g = g.imag
         if index is not None:
-            dtheta[index] += g
+            g = None
+            for i, j in pairs:
+                p0, p1 = _pauli_apply(kind, state[i][0], state[j][0])
+                t = np.conj(state[i][1]) * p0 + np.conj(state[j][1]) * p1
+                g = t if g is None else g + t
+            dtheta[index] += g.imag
             coeffs = _gate_coeffs(kind, np.negative(thetas[index]))
         else:
-            dx += g
             if kind not in encode:
                 encode[kind] = _gate_coeffs(kind, np.negative(xs))
             coeffs = encode[kind]
         for i, j in pairs:
             state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
-    return f, dx, dtheta
+    return f, dtheta
 
 
 # --- compiler ---------------------------------------------------------------
@@ -337,7 +320,7 @@ def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
     K = sum(1 for _, s in template.gates if s == "input") * n * thetas.shape[0]
     N = 2 * K + 1
     nodes = (2.0 * np.pi / N) * np.arange(N)
-    f, _, dtheta = _grad(nodes[:, None], thetas, n, entangle, template)
+    f, dtheta = _grad(nodes[:, None], thetas, n, entangle, template)
     # c = D f and J = dtheta D^T, contracting the nodes edge by edge
     DT = _dft(K).T
     c = np.matmul(np.ascontiguousarray(f.T)[:, None, :], DT)[:, 0]
@@ -360,16 +343,3 @@ def dr_forward_batch(xs, params: DRParams, clamp: bool = True) -> np.ndarray:
     xs = _clamp_domain(np.asarray(xs, dtype=np.float64), clamp)
     return _forward(xs, params.thetas, params.num_qubits, params.entangle,
                     params.template)
-
-
-def dr_gradient(xs, params: DRParams, clamp: bool = True):
-    """Exact (dtheta, dx) of dr_forward_batch at inputs ``xs`` (any shape).
-
-    dx has the shape of ``xs`` and folds in all L encoding gates; dtheta is
-    (L,) + xs.shape + params.thetas.shape[1:], so a scalar x gives dtheta
-    shaped like params.thetas.
-    """
-    xs = _clamp_domain(np.asarray(xs, dtype=np.float64), clamp)
-    _, dx, dtheta = _grad(xs, params.thetas, params.num_qubits,
-                          params.entangle, params.template)
-    return dtheta, dx

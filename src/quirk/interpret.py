@@ -2,18 +2,17 @@
 
 Every edge of the network is a univariate map from the encoding domain
 [0, pi] into [-1, 1], so each one can be sampled on a grid and fitted with a
-low-degree polynomial.  ``report`` samples every live edge through
-``network.edge_samples``, from the compiled Fourier series the network
-itself runs, not from the circuit; ``sample_edge`` simulates one edge's
-circuit and stays as the independent reference for plots and tests.
-Composing those polynomials through the rescale maps (affine, then clamped
-to [0, pi]) and the dense head gives a classical surrogate whose error
-against the model is measured directly.
+low-degree polynomial.  ``report`` and the CLI's edge plots sample every
+live edge through ``network.edge_samples``, from the compiled Fourier series
+the network itself runs, not from the circuit.  Composing those polynomials
+through the rescale maps (affine, then clamped to [0, pi]) and the dense
+head gives a classical surrogate whose error against the model is measured
+directly.
 
 ``report`` fits all live edges of the network together, with one
 least-squares solve per degree over the edges still short of the R^2
-target; ``fit_poly`` is the same fitter called on one edge.  Fits run on a
-Chebyshev basis over t = 2*x/pi - 1 for conditioning; reported
+target; ``fit_poly(xs, ys)`` is the same fitter on one edge's samples.
+Fits run on a Chebyshev basis over t = 2*x/pi - 1 for conditioning; reported
 coefficients are monomials in t (ascending degree), degree + 1 of them.
 Keep that variable change in mind when reading a report: the printed affine
 input maps take raw features to x in [0, pi] first.
@@ -28,6 +27,7 @@ from typing import Optional
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
+# not called here: benchmarks/run.py's tracer wraps it, test_tooling.py pins it
 from .dr import dr_forward_batch
 from .network import (Model, apply_input_norm, edge_samples, network_forward,
                       rescale, spec_from_shape, unit_divisors)
@@ -46,13 +46,6 @@ class ReportFormatError(ValueError):
 
 
 @dataclass
-class EdgeFunctionSample:
-    edge_id: tuple  # (layer, input, unit)
-    xs: np.ndarray  # grid in [0, pi], ascending
-    ys: np.ndarray  # DR outputs, within [-1, 1]
-
-
-@dataclass
 class PolyFit:
     coefficients: np.ndarray  # monomials in t = 2x/pi - 1, ascending degree
     degree: int
@@ -61,18 +54,6 @@ class PolyFit:
     def __call__(self, t):
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=np.float64),
                                                 self.coefficients)
-
-
-def sample_edge(model: Model, edge_id, grid_size: int = DEFAULT_GRID_SIZE
-                ) -> EdgeFunctionSample:
-    """Evaluate one edge's circuit alone on a uniform grid over [0, pi]."""
-    layer, i, u = edge_id
-    params = model.edge_params(layer, i, u)
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    xs = np.linspace(0.0, np.pi, grid_size)
-    ys = dr_forward_batch(xs, params)
-    return EdgeFunctionSample(edge_id=(layer, i, u), xs=xs, ys=ys)
 
 
 def _to_t(xs: np.ndarray) -> np.ndarray:
@@ -157,12 +138,13 @@ def _fit_polys(xs: np.ndarray, ys: np.ndarray, max_degree: int,
     return fits
 
 
-def fit_poly(sample: EdgeFunctionSample, max_degree: int = DEFAULT_MAX_DEGREE,
+def fit_poly(xs, ys, max_degree: int = DEFAULT_MAX_DEGREE,
              r2_target: float = DEFAULT_R2_TARGET) -> PolyFit:
-    """Smallest-degree polynomial reaching ``r2_target``, else the
-    ``max_degree`` fit.  Least squares on the Chebyshev basis; coefficients
-    returned as monomials in t, degree + 1 of them."""
-    return _fit_polys(sample.xs, np.asarray(sample.ys, dtype=np.float64)[None],
+    """Smallest-degree polynomial through samples ``ys`` at grid ``xs``
+    reaching ``r2_target``, else the ``max_degree`` fit.  Least squares on
+    the Chebyshev basis; coefficients returned as monomials in t, degree + 1
+    of them."""
+    return _fit_polys(xs, np.asarray(ys, dtype=np.float64)[None],
                       max_degree, r2_target)[0]
 
 

@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import check_records, read_record, read_records, write_records
-from .dr import DEFAULT_TEMPLATE, DRParams, GateTemplate, _check_capacity, _series
+from .dr import DEFAULT_TEMPLATE, GateTemplate, _check_capacity, _series
 
 
 class ModelFormatError(ValueError):
@@ -182,14 +182,6 @@ class Model:
                 raise ValueError("input_norm must be finite")
             if not np.all(self.input_norm[:, 0] < self.input_norm[:, 1]):
                 raise ValueError("input_norm requires min < max per feature")
-
-    def edge_params(self, layer: int, i: int, u: int) -> DRParams:
-        """The DR circuit on edge (input i -> unit u) of ``layer``."""
-        ls = self.spec.layers[layer] if 0 <= layer < len(self.spec.layers) else None
-        if ls is None or not (0 <= i < ls.fan_in and 0 <= u < ls.units):
-            raise KeyError(f"no edge {(layer, i, u)} in this model")
-        return DRParams(self.thetas[layer][:, i, u], num_qubits=ls.qubits_per_edge,
-                        entangle=ls.entangle, template=self.spec.template)
 
     def copy(self) -> "Model":
         return Model(

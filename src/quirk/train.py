@@ -41,6 +41,12 @@ class TrainingDivergedError(RuntimeError):
     """Loss or parameters went non-finite during optimization."""
 
 
+def _check_count(name: str, v, least: int) -> None:
+    # counts and seeds are integers (numpy's too, a bool is not)
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
@@ -61,15 +67,11 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must be in (0, 1), got {v}")
-        # counts and the seed are integers (a bool is not); batch_size may
-        # also be None for the full batch
+        # batch_size may also be None for the full batch
         for name, least in (("batch_size", 1), ("max_steps", 1),
                             ("early_stop_patience", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if name == "batch_size" and v is None:
-                continue
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+            if not (name == "batch_size" and self.batch_size is None):
+                _check_count(name, getattr(self, name), least)
 
 
 @dataclass
@@ -239,10 +241,11 @@ def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,
     unchanged (with a warning).  Then a unit with no surviving outgoing
     edges takes its incoming edges with it, since they cannot reach the
     output.  Fine-tuning runs ``fine_tune_steps`` Adam steps on the
-    training split.
+    training split; 0 skips them.
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
+    _check_count("fine_tune_steps", fine_tune_steps, 0)
     config = config or TrainConfig()
     X_tr, y_tr, X_val, y_val = _split(dataset, config)
 

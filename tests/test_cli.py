@@ -10,8 +10,9 @@ import pytest
 from quirk.cli import (SCHEMA, ConfigError, _build_spec, _interpret_settings,
                        _load_dataset, _train_config, default_config,
                        load_cli_config, main, parse_config)
+from quirk import dr
 from quirk.data import read_csv_rows
-from quirk.network import spec_from_shape
+from quirk.network import init_model, save_model, spec_from_shape
 from quirk.train import TrainConfig
 
 from mutations import escapes
@@ -367,6 +368,26 @@ class TestEvalPruneInterpret:
             assert root.tag.endswith("svg")
         text = capsys.readouterr().out
         assert "surrogate_rmse=" in text and "model_rmse=" in text
+
+    def test_interpret_plots_live_edges_from_the_series(self, tmp_path, monkeypatch):
+        # the plots read the compiled series, so no circuit is simulated, and
+        # a pruned edge gets no plot
+        model = init_model(spec_from_shape([2, 3, 1], dr_layers=2, seed=3))
+        model.edge_active[0][[0, 1], [1, 2]] = False
+        model.edge_active[1][2, 0] = False
+        model.input_norm = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        path = tmp_path / "pruned.txt"
+        save_model(model, path)
+
+        def no_circuit(*args, **kwargs):
+            raise AssertionError("a circuit was simulated")
+
+        monkeypatch.setattr(dr, "_forward", no_circuit)
+        assert main(["interpret", str(path), "--config", tiny(tmp_path, out="plots")]) == 0
+        live = {f"edge_{k}_{i}_{u}.svg" for k, active in enumerate(model.edge_active)
+                for (i, u), on in np.ndenumerate(active) if on}
+        assert len(live) == 6
+        assert {p.name for p in (tmp_path / "plots").glob("edge_*.svg")} == live
 
     def test_interpret_svg_off(self, trained, tmp_path):
         cfg, model = trained

@@ -15,13 +15,12 @@ from quirk.dr import (
     DRParams,
     GateTemplate,
     dr_forward_batch,
-    dr_gradient,
-    init_dr_params,
 )
 from quirk.network import (LayerSpec, ModelFormatError, init_model, load_model,
-                           save_model, spec_from_shape)
+                           network_backward, save_model, spec_from_shape)
 
 import oracles
+from circuits import init_dr_params, kernel_dtheta, series_dx
 
 
 def random_params(seed, L=3, num_qubits=1, entangle=False, template=DEFAULT_TEMPLATE):
@@ -118,12 +117,12 @@ class TestGradient:
     def test_identity_layer_dx_is_minus_sin(self):
         p = DRParams(np.zeros((1, 2)))
         for x in np.linspace(0.1, 3.0, 15):
-            _, dx = dr_gradient(x, p)
+            dx = series_dx(x, p)
             assert dx == pytest.approx(-np.sin(x), abs=1e-12)
 
     def test_rz_angle_has_zero_gradient_at_theta_zero(self):
         p = DRParams(np.zeros((1, 2)))
-        dth, _ = dr_gradient(np.pi / 2, p)
+        dth = kernel_dtheta(np.pi / 2, p)
         assert dth[0, 0] == pytest.approx(0.0, abs=1e-12)
         # confirmed independently by the shift rule
         shift = oracles.shift_rule_dtheta(np.pi / 2, p.thetas)
@@ -135,7 +134,7 @@ class TestGradient:
             L = int(rng.integers(1, 7))
             p = init_dr_params(L, rng)
             x = rng.uniform(0, np.pi)
-            dth, dx = dr_gradient(x, p)
+            dth, dx = kernel_dtheta(x, p), series_dx(x, p)
             np.testing.assert_allclose(dth, oracles.shift_rule_dtheta(x, p.thetas), atol=1e-10)
             assert dx == pytest.approx(oracles.shift_rule_dx(x, p.thetas), abs=1e-10)
             np.testing.assert_allclose(dth, oracles.fd_dtheta(x, p.thetas), atol=1e-6)
@@ -145,25 +144,28 @@ class TestGradient:
     def test_su2_template_gradients(self):
         tpl = [("ry", "input"), ("rz", 0), ("ry", 1), ("rz", 2)]
         p = random_params(11, L=3, template=SU2_TEMPLATE)
-        dth, dx = dr_gradient(0.6, p)
+        dth, dx = kernel_dtheta(0.6, p), series_dx(0.6, p)
         np.testing.assert_allclose(
             dth, oracles.shift_rule_dtheta(0.6, p.thetas, template=tpl), atol=1e-10)
         assert dx == pytest.approx(
             oracles.shift_rule_dx(0.6, p.thetas, template=tpl), abs=1e-10)
 
     def test_nan_input_rejected(self):
-        with pytest.raises(ValueError):
-            dr_gradient(float("nan"), random_params(1))
+        # the input derivative is taken inside network_backward, which checks its rows
+        m = init_model(spec_from_shape([2, 1], dr_layers=1))
+        m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            network_backward([[float("nan"), 0.5]], [0.0], m)
 
     @pytest.mark.parametrize("n,entangle", [(1, False), (2, True)])
     def test_array_input_matches_scalar_calls(self, n, entangle):
         p = random_params(12, L=2, num_qubits=n, entangle=entangle)
         xs = np.linspace(0.1, 3.0, 6).reshape(2, 3)
-        dth, dx = dr_gradient(xs, p)
+        dth, dx = kernel_dtheta(xs, p), series_dx(xs, p)
         assert dx.shape == xs.shape
         assert dth.shape == p.thetas.shape[:1] + xs.shape + p.thetas.shape[1:]
         for idx in np.ndindex(xs.shape):
-            one_dth, one_dx = dr_gradient(xs[idx], p)
+            one_dth, one_dx = kernel_dtheta(xs[idx], p), series_dx(xs[idx], p)
             assert one_dth.shape == p.thetas.shape
             np.testing.assert_allclose(dth[(slice(None),) + idx], one_dth,
                                        rtol=0, atol=1e-14)
@@ -178,7 +180,7 @@ class TestGradient:
             p = random_params(0, L=L)
             tracemalloc.start()
             try:
-                dr_gradient(xs, p)
+                kernel_dtheta(xs, p)
                 peak[L] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -215,7 +217,7 @@ class TestMultiQubit:
         rng = np.random.default_rng(88)
         p = init_dr_params(2, rng, num_qubits=3, entangle=True)
         x = 0.9
-        dth, dx = dr_gradient(x, p)
+        dth, dx = kernel_dtheta(x, p), series_dx(x, p)
         np.testing.assert_allclose(
             dth, oracles.shift_rule_dtheta(x, p.thetas, num_qubits=3, entangle=True),
             atol=1e-10)
@@ -261,7 +263,7 @@ def test_kernel_matches_oracles(n, entangle, template, L, x, seed):
     kw = {"template": list(tpl.gates), "num_qubits": n, "entangle": entangle}
     assert dr_forward_batch(x, p) == pytest.approx(
         oracles.naive_dr_forward(x, p.thetas, **kw), abs=1e-12)
-    dth, dx = dr_gradient(x, p)
+    dth, dx = kernel_dtheta(x, p), series_dx(x, p)
     np.testing.assert_allclose(
         dth, oracles.shift_rule_dtheta(x, p.thetas, **kw), rtol=0, atol=1e-10)
     assert dx == pytest.approx(oracles.shift_rule_dx(x, p.thetas, **kw), abs=1e-10)
@@ -348,8 +350,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             DRParams(np.zeros((0, 2)))
 
-
-def test_init_determinism_bitwise():
-    a = init_dr_params(4, np.random.default_rng(123))
-    b = init_dr_params(4, np.random.default_rng(123))
-    assert a.thetas.tobytes() == b.thetas.tobytes()

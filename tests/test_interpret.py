@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quirk import interpret
+from quirk import dr, interpret
 from quirk.data import generate
-from quirk.dr import SU2_TEMPLATE, GateTemplate
-from quirk.network import (Model, apply_input_norm, fit_input_norm, init_model,
-                           network_forward, rescale, spec_from_shape)
+from quirk.dr import SU2_TEMPLATE, DRParams, GateTemplate, dr_forward_batch
+from quirk.network import (apply_input_norm, edge_samples, fit_input_norm,
+                           init_model, network_forward, rescale, spec_from_shape)
 from quirk.train import TrainConfig, train
 
 from mutations import escapes, insertions
@@ -75,6 +75,17 @@ def readout_models():
     return [pruned, su2, one_gate]
 
 
+def circuit_samples(model, edge_id, xs):
+    """One edge's circuit simulated alone at grid ``xs``: the statevector
+    reference for the compiled series that reports and plots read."""
+    k, i, u = edge_id
+    layer = model.spec.layers[k]
+    return dr_forward_batch(xs, DRParams(model.thetas[k][:, i, u],
+                                         num_qubits=layer.qubits_per_edge,
+                                         entangle=layer.entangle,
+                                         template=model.spec.template))
+
+
 def plain_dataset(dim, seed=0):
     class Plain:
         X = np.random.default_rng(seed).uniform(0, 1, (60, dim))
@@ -84,33 +95,29 @@ def plain_dataset(dim, seed=0):
 
 
 class TestSampleEdge:
+    """Edges sampled on a grid by ``network.edge_samples``, the one edge
+    evaluator behind reports and plots."""
+
     def test_theta_zero_is_cosine(self):
         m = theta_zero_model([2, 1])
-        s = interpret.sample_edge(m, (0, 1, 0), grid_size=33)
-        npt.assert_allclose(s.ys, np.cos(s.xs), atol=1e-14)
+        xs = np.linspace(0.0, np.pi, 33)
+        ys = edge_samples(m, xs)
+        assert ys.shape == (2, 33)
+        npt.assert_allclose(ys, np.cos(xs)[None].repeat(2, axis=0), atol=1e-14)
 
     def test_grid_two_hits_endpoints(self):
         m = theta_zero_model([1, 1])
-        s = interpret.sample_edge(m, (0, 0, 0), grid_size=2)
-        npt.assert_array_equal(s.xs, [0.0, np.pi])
+        npt.assert_allclose(edge_samples(m, [0.0, np.pi]), [[1.0, -1.0]], atol=1e-14)
 
     def test_grid_sorted_and_range_invariant(self):
         spec = spec_from_shape([2, 2, 1], dr_layers=3, seed=5)
         m = init_model(spec)
         m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
-        s = interpret.sample_edge(m, (1, 1, 0))
-        assert np.all(np.diff(s.xs) > 0)
-        assert np.all(np.abs(s.ys) <= 1.0 + 1e-12)
-
-    def test_unknown_edge_raises_lookup(self):
-        # negative ids name no edge either, though they would index from the end
-        m = theta_zero_model([2, 1])
-        for edge_id in [(0, 5, 0), (3, 0, 0), (-1, 0, 0), (0, -1, 0), (0, 0, -1),
-                        (0, -3, 0), (-2, 0, 0)]:
-            with pytest.raises(KeyError, match="no edge"):
-                interpret.sample_edge(m, edge_id)
-            with pytest.raises(KeyError, match="no edge"):
-                m.edge_params(*edge_id)
+        xs = np.linspace(0.0, np.pi, interpret.DEFAULT_GRID_SIZE)
+        ys = edge_samples(m, xs)
+        # one row per edge of both layers
+        assert ys.shape == (6, xs.size)
+        assert np.all(np.abs(ys) <= 1.0 + 1e-12)
 
 
 class TestFitPoly:
@@ -118,7 +125,7 @@ class TestFitPoly:
         xs = np.linspace(0.0, np.pi, 41)
         t = 2 * xs / np.pi - 1
         ys = 0.5 * t**2 - 0.3 * t + 0.1
-        fit = interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, ys))
+        fit = interpret.fit_poly(xs, ys)
         assert fit.degree == 2
         assert fit.r_squared >= 1 - 1e-10
         npt.assert_allclose(fit.coefficients, [0.1, -0.3, 0.5], rtol=1e-8)
@@ -127,9 +134,7 @@ class TestFitPoly:
         xs = np.linspace(0.0, np.pi, 20)
         # a constant's R^2 is exactly 1, so even a target of 1 is reached
         for r2_target in (interpret.DEFAULT_R2_TARGET, 1.0):
-            fit = interpret.fit_poly(
-                interpret.EdgeFunctionSample((0, 0, 0), xs, np.full(20, 0.7)),
-                r2_target=r2_target)
+            fit = interpret.fit_poly(xs, np.full(20, 0.7), r2_target=r2_target)
             assert fit.degree == 0
             npt.assert_allclose(fit.coefficients, [0.7], rtol=1e-12)
 
@@ -140,8 +145,7 @@ class TestFitPoly:
         _, resid = lstsq_poly_oracle(xs, ys, 4)
         r2_oracle = 1.0 - resid / np.sum((ys - ys.mean()) ** 2)
         assert r2_oracle >= 0.999
-        fit = interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, ys),
-                                 max_degree=4, r2_target=0.9999999)
+        fit = interpret.fit_poly(xs, ys, max_degree=4, r2_target=0.9999999)
         # forced to max degree; must match the oracle's minimizer
         assert fit.degree == 4
         oc, _ = lstsq_poly_oracle(xs, ys, 4)
@@ -157,8 +161,7 @@ class TestFitPoly:
         ys = np.polynomial.polynomial.polyval(t, coeffs)
         # near-exact target: the selector stops at the true degree instead of
         # settling for a statistically-good lower one
-        fit = interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, ys),
-                                 max_degree=6, r2_target=1 - 1e-12)
+        fit = interpret.fit_poly(xs, ys, max_degree=6, r2_target=1 - 1e-12)
         assert fit.degree <= degree  # never a larger degree than needed
         got = np.zeros(degree + 1)
         got[:fit.coefficients.size] = fit.coefficients
@@ -167,27 +170,24 @@ class TestFitPoly:
     def test_degree_selection_monotone_in_target(self):
         xs = np.linspace(0.0, np.pi, 129)
         ys = np.cos(2 * xs) * 0.8 + 0.1 * xs
-        sample = interpret.EdgeFunctionSample((0, 0, 0), xs, ys)
-        degrees = [interpret.fit_poly(sample, 6, tgt).degree
+        degrees = [interpret.fit_poly(xs, ys, 6, tgt).degree
                    for tgt in (0.5, 0.9, 0.99, 0.9999)]
         assert degrees == sorted(degrees)
 
     def test_degenerate_grid_rejected(self):
         xs = np.full(10, 1.0)
         with pytest.raises(ValueError, match="degenerate"):
-            interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, xs))
+            interpret.fit_poly(xs, xs)
 
     def test_too_few_points_rejected(self):
         xs = np.linspace(0.0, np.pi, 4)
         with pytest.raises(ValueError, match="points"):
-            interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, xs),
-                               max_degree=6)
+            interpret.fit_poly(xs, xs, max_degree=6)
 
     def test_negative_max_degree_rejected(self):
         xs = np.linspace(0.0, np.pi, 8)
         with pytest.raises(ValueError, match="max_degree"):
-            interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, xs),
-                               max_degree=-1)
+            interpret.fit_poly(xs, xs, max_degree=-1)
 
     @pytest.mark.parametrize("r2_target", [0.5, 0.99, 0.9999, 2.0])
     def test_matches_per_degree_reference_bitwise(self, r2_target):
@@ -195,8 +195,7 @@ class TestFitPoly:
         for grid in (9, 65, 257):
             xs = np.linspace(0.0, np.pi, grid)
             ys = np.cos(3 * xs + rng.uniform(0, 6)) * rng.uniform(0.2, 1)
-            fit = interpret.fit_poly(
-                interpret.EdgeFunctionSample((0, 0, 0), xs, ys), 6, r2_target)
+            fit = interpret.fit_poly(xs, ys, 6, r2_target)
             coeffs, degree, r2 = per_degree_fit_poly(xs, ys, 6, r2_target)
             assert (fit.degree, fit.r_squared) == (degree, r2)
             assert fit.coefficients.tobytes() == coeffs.tobytes()
@@ -205,9 +204,7 @@ class TestFitPoly:
         # numpy's cheb2poly trims trailing zeros, which left degree 6 with
         # one coefficient: a fit the report reader rejects
         xs = np.linspace(0.0, np.pi, 33)
-        fit = interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs,
-                                                              np.zeros(33)),
-                                 max_degree=6, r2_target=2.0)
+        fit = interpret.fit_poly(xs, np.zeros(33), max_degree=6, r2_target=2.0)
         assert fit.degree == 6
         assert fit.coefficients.shape == (7,)
         npt.assert_array_equal(fit.coefficients, 0.0)
@@ -263,8 +260,7 @@ class TestFitPoly:
         # so force max_degree=0 and check against wild data offsets
         xs = np.linspace(0.0, np.pi, 32)
         ys = np.sin(5 * xs)
-        fit = interpret.fit_poly(interpret.EdgeFunctionSample((0, 0, 0), xs, ys),
-                                 max_degree=0, r2_target=0.99)
+        fit = interpret.fit_poly(xs, ys, max_degree=0, r2_target=0.99)
         assert 0.0 <= fit.r_squared <= 1.0
 
 
@@ -635,13 +631,14 @@ class TestReport:
         m = readout_models()[index]
         ds = plain_dataset(m.spec.input_dim)
         rep = interpret.report(m, ds)
+        xs = np.linspace(0.0, np.pi, interpret.DEFAULT_GRID_SIZE)
         edges = []
         for e in rep.edges:
             assert e.active == bool(m.edge_active[e.edge_id[0]][e.edge_id[1:]])
             if not e.active:
                 edges.append(e)
                 continue
-            ref = interpret.fit_poly(interpret.sample_edge(m, e.edge_id))
+            ref = interpret.fit_poly(xs, circuit_samples(m, e.edge_id, xs))
             assert e.fit.degree == ref.degree
             npt.assert_allclose(e.fit.r_squared, ref.r_squared, rtol=0, atol=1e-12)
             npt.assert_allclose(e.fit.coefficients, ref.coefficients, rtol=0, atol=1e-9)
@@ -660,7 +657,7 @@ class TestReport:
             raise AssertionError("report() simulated a circuit")
 
         monkeypatch.setattr(interpret, "dr_forward_batch", no_circuit)
-        monkeypatch.setattr(Model, "edge_params", no_circuit)
+        monkeypatch.setattr(dr, "_forward", no_circuit)
         got = interpret.report(m, ds)
         assert got.surrogate_rmse == want.surrogate_rmse
         for a, b in zip(got.edges, want.edges):
@@ -738,9 +735,8 @@ def test_batched_fits_match_per_edge_fits(m):
     assert len(live) == len(ys) == sum(int(a.sum()) for a in m.edge_active)
     for e, row in zip(live, ys):
         # each row holds its own edge's samples
-        npt.assert_allclose(row, interpret.sample_edge(m, e.edge_id).ys,
-                            rtol=0, atol=1e-12)
-        ref = interpret.fit_poly(interpret.EdgeFunctionSample(e.edge_id, xs, row))
+        npt.assert_allclose(row, circuit_samples(m, e.edge_id, xs), rtol=0, atol=1e-12)
+        ref = interpret.fit_poly(xs, row)
         assert e.fit.degree == ref.degree
         assert e.fit.coefficients.shape == (ref.degree + 1,)
         npt.assert_allclose(e.fit.r_squared, ref.r_squared, rtol=0, atol=1e-15)

@@ -20,7 +20,7 @@ from quirk.network import (LayerSpec, Model, ModelFormatError,
                            rescale, save_model, spec_from_shape)
 
 from mutations import escapes, insertions
-from oracles import central_diff, naive_dr_forward
+from oracles import central_diff, naive_dr_forward, shift_rule_dx
 
 
 def small_model(shape=(2, 2, 1), dr_layers=2, seed=0, dense=False, **kw):
@@ -630,9 +630,15 @@ def test_network_matches_oracles(case):
         dbasis = np.concatenate([np.zeros_like(kx[..., :1]),
                                  -np.arange(1, K + 1) * np.sin(kx),
                                  np.arange(1, K + 1) * np.cos(kx)], -1)
-        f, dx, dth = _grad(x, m.thetas[k], *wiring)
+        f, dth = _grad(x, m.thetas[k], *wiring)
         npt.assert_array_equal(f, _forward(x, m.thetas[k], *wiring))
         npt.assert_allclose(np.einsum("biuk,iuk->biu", basis, c), f, rtol=0, atol=1e-12)
+        # the series' derivative in x, which network_backward uses, against
+        # the shift rule on every edge
+        kw = {"template": list(m.spec.template.gates),
+              "num_qubits": layer.qubits_per_edge, "entangle": layer.entangle}
+        dx = [[[shift_rule_dx(xb, th[:, i, u], **kw) for u in range(layer.units)]
+               for i in range(layer.fan_in)] for xb in x.ravel()]
         npt.assert_allclose(np.einsum("biuk,iuk->biu", dbasis, c), dx, rtol=0, atol=1e-12)
         npt.assert_allclose(np.einsum("biuk,liu...k->lbiu...", basis, J), dth,
                             rtol=0, atol=1e-12)

@@ -1,6 +1,7 @@
 """The benchmark harness reaches into the package by name; a renamed or
 removed name must fail here, not only in a benchmark run.  The package's own
-modules keep to network.py's public names."""
+modules keep to network.py's public names and evaluate an edge only from its
+compiled series."""
 
 import ast
 import importlib
@@ -50,3 +51,24 @@ def test_only_network_reads_its_private_names():
                     and node.module in ("network", "quirk.network")
                     for alias in node.names if alias.name.startswith("_")]
     assert not private, f"private names imported from quirk.network: {private}"
+
+
+def test_one_edge_evaluator():
+    """The modules built on the network evaluate an edge only from its
+    compiled series: none calls the statevector kernel, and the compile
+    reaches the kernel only through dr._series."""
+    src = Path(__file__).resolve().parents[1] / "src" / "quirk"
+    kernel = {"dr_forward_batch", "_forward", "_grad", "_sweep"}
+    calls, series = [], 0
+    for module in ("cli", "interpret", "network", "train"):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in kernel:
+                    calls.append(f"{module}.py:{node.lineno}: {name}")
+                series += name == "_series"
+    # the parse must see the compile's own call, or it would check nothing
+    assert series == 1
+    assert not calls, f"calls into the statevector kernel: {calls}"

@@ -240,6 +240,16 @@ class TestPruning:
         with pytest.raises(ValueError, match="tau"):
             prune(model, ds, tau=-1.0)
 
+    @pytest.mark.parametrize("steps", [2.5, -3, True])
+    def test_fine_tune_steps_must_be_a_count(self, steps):
+        # unless rejected here, 2.5 fails with a TypeError naming no field,
+        # -3 skips the fine-tune silently and True runs one step
+        ds = uni_dataset(np.sin, seed=12)
+        model = init_model(spec_from_shape([1, 1], dr_layers=1, seed=0))
+        model.input_norm = fit_input_norm(ds.X)
+        with pytest.raises(ValueError, match="fine_tune_steps must be an integer >= 0"):
+            prune(model, ds, fine_tune_steps=steps)
+
     def test_dead_unit_cascades_forward(self):
         model, ds = self.trained(seed=5)
         # force every incoming edge of layer-0 unit 1 inactive, then prune
