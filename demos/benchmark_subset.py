@@ -16,7 +16,7 @@ Run:  python demos/benchmark_subset.py      (about 1 min)
 import os
 import time
 
-from quirk.data import Dataset, generate, target_scale
+from quirk.data import generate
 from quirk.network import network_forward, param_count, spec_from_shape
 from quirk.train import TrainConfig, rmse, train
 
@@ -30,10 +30,7 @@ RUNS = (
 
 rows = []
 for eq, shape, depth in RUNS:
-    ds = generate(eq, 3000, seed=11).split(seed=11)
-    _, y_train = ds.part("train")
-    ds = Dataset(ds.X, ds.y / target_scale(y_train), ds.columns, ds.splits,
-                 ds.seed)
+    ds = generate(eq, 3000, seed=11).split(seed=11).unit_scaled()
     spec = spec_from_shape(shape, dr_layers=depth, dense_head=False, seed=0)
     cfg = TrainConfig(learning_rate=0.02, max_steps=4000, seed=0,
                       early_stop_patience=4000)

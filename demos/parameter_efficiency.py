@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from quirk.bspline import fit as fit_bspline
-from quirk.data import Dataset, generate_univariate, target_scale
+from quirk.data import generate_univariate, target_scale
 from quirk.network import network_forward, param_count, spec_from_shape
 from quirk.svgplot import Series, save
 from quirk.train import TrainConfig, rmse, train
@@ -26,11 +26,10 @@ OUT = os.path.join(os.path.dirname(__file__), "out", "parameter_efficiency")
 os.makedirs(OUT, exist_ok=True)
 
 # one seed pins the dataset, the split, the init, and the optimizer
-ds = generate_univariate("exp_sin_poly", 3000, x_range=(0, 20),
-                         seed=11).split(seed=11)
-_, y_train = ds.part("train")
-scale = target_scale(y_train)
-ds = Dataset(ds.X, ds.y / scale, ds.columns, ds.splits, ds.seed)
+raw = generate_univariate("exp_sin_poly", 3000, x_range=(0, 20),
+                          seed=11).split(seed=11)
+scale = target_scale(raw.part("train")[1])
+ds = raw.unit_scaled()
 X_train, y_train = ds.part("train")
 X_test, y_test = ds.part("test")
 print(f"target rescaled by 1/{scale:.1f} so max |y| on the training split is 1")

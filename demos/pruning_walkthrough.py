@@ -16,16 +16,14 @@ import warnings
 
 import numpy as np
 
-from quirk.data import Dataset, generate, target_scale
+from quirk.data import generate
 from quirk.network import network_forward, param_count, spec_from_shape
 from quirk.train import TrainConfig, edge_scores, prune, rmse, train
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "pruning")
 os.makedirs(OUT, exist_ok=True)
 
-ds = generate("I.6.2", 3000, seed=11).split(seed=11)
-_, y_train = ds.part("train")
-ds = Dataset(ds.X, ds.y / target_scale(y_train), ds.columns, ds.splits, ds.seed)
+ds = generate("I.6.2", 3000, seed=11).split(seed=11).unit_scaled()
 spec = spec_from_shape([2, 2, 1], dr_layers=3, dense_head=False, seed=0)
 cfg = TrainConfig(learning_rate=0.02, max_steps=4000, seed=0,
                   early_stop_patience=4000)

@@ -15,7 +15,6 @@ import concurrent.futures
 import multiprocessing
 import os
 import sys
-import time
 import warnings
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import bspline, interpret, svgplot
 from .data import (CSVFormatError, EQUATIONS, UNIVARIATE_ALIASES,
                    UNIVARIATE_TARGETS, DEFAULT_UNIVARIATE_RANGE, Dataset, finite,
                    generate, generate_univariate, read_csv_rows,
-                   resolve_univariate, target_scale, write_csv_rows)
+                   resolve_univariate, write_csv_rows)
 from .dr import DEFAULT_TEMPLATE, SU2_TEMPLATE
 from .network import (ModelFormatError, ModelVersionError, edge_samples,
                       load_model, network_forward, param_count, save_model,
@@ -354,19 +353,8 @@ def cmd_interpret(args) -> int:
     return 0
 
 
-def _unit_scale(ds: Dataset) -> Dataset:
-    """Targets divided by max |y| over the training split.
-
-    Benchmark RMSE numbers are reported on this scale; it also lets compact
-    models without a dense head cover targets of any magnitude.
-    """
-    _, ytr = ds.part("train")
-    return Dataset(ds.X, ds.y / target_scale(ytr), ds.columns, ds.splits,
-                   ds.seed)
-
-
 def _benchmark_one(eq: str, cfg, out: str):
-    ds = _unit_scale(_load_dataset(cfg, eq))
+    ds = _load_dataset(cfg, eq).unit_scaled()
     spec = _build_spec(cfg, ds.input_dim)
     model, _ = train(ds, spec, _train_config(cfg))
     pruned = prune(model, ds, tau=cfg["prune"]["threshold"],
@@ -425,7 +413,7 @@ def cmd_benchmark(args) -> int:
 def cmd_compare_activations(args) -> int:
     cfg = load_cli_config(args)
     name, _ = resolve_univariate(args.target)  # LookupError -> exit 2 mapping
-    ds = _unit_scale(_load_dataset(cfg, args.target))
+    ds = _load_dataset(cfg, args.target).unit_scaled()
     (Xtr, ytr), (Xte, yte) = ds.part("train"), ds.part("test")
     out = _outdir(cfg)
     smoothness = (1.0, 0.05)

@@ -9,6 +9,9 @@ seed pins a dataset bit-for-bit on any platform.
 CSV files use one shared dialect everywhere in this package: comma
 separated, "\\n" newlines, no quoting, floats printed with ``repr`` so they
 round-trip exactly.  Datasets specifically use the header ``x1,...,xn,y``.
+
+Every public entry checks its input by one of two rules: ``check_count``
+for counts and seeds, ``finite_rows`` for rows, grids, samples and targets.
 """
 
 from __future__ import annotations
@@ -23,6 +26,28 @@ SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 
 class CSVFormatError(ValueError):
     """CSV file malformed; message carries the offending row number."""
+
+
+def check_count(name: str, v, least: int) -> None:
+    """A count or seed: an int or numpy integer (a bool is not one) of at
+    least ``least``; a ValueError naming ``name`` otherwise."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
+
+
+def finite_rows(values, what: str, width: int | None = None,
+                single: bool = False) -> np.ndarray:
+    """``values`` as float64 rows (B, width) from a row (width,) or rows, or
+    with ``single`` a row as it is; ``width`` None takes any.  A ValueError
+    naming ``what`` on any other shape or a non-finite value."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim not in ((1,) if single else (1, 2)) or width not in (None, a.shape[-1]):
+        n = "n" if width is None else width
+        want = f"({n},)" if single else f"({n},) or (B, {n})"
+        raise ValueError(f"{what} must have shape {want}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    return a if single else a.reshape(-1, a.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -269,6 +294,13 @@ class Dataset:
         splits = train_val_test_split(self.n, seed)
         return Dataset(self.X, self.y, self.columns, splits, self.seed)
 
+    def unit_scaled(self) -> "Dataset":
+        """Targets divided by ``target_scale`` of the training split: the
+        scale benchmark RMSEs are reported on."""
+        _, y_train = self.part("train")
+        return Dataset(self.X, self.y / target_scale(y_train), self.columns,
+                       self.splits, self.seed)
+
 
 def _check_splits(splits: dict, n: int) -> None:
     want = {"train", "val", "test"}
@@ -303,8 +335,8 @@ def generate(equation_id: str, n_samples: int = DEFAULT_N_SAMPLES,
     if equation_id not in EQUATIONS:
         known = ", ".join(sorted(EQUATIONS))
         raise LookupError(f"unknown equation {equation_id!r}; known ids: {known}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_count("n_samples", n_samples, 1)
+    check_count("seed", seed, 0)
     eq = EQUATIONS[equation_id]
     rng = np.random.default_rng(seed)
     X = np.empty((n_samples, eq.arity))
@@ -336,8 +368,8 @@ def generate_univariate(target, n_samples: int = DEFAULT_N_SAMPLES,
     lo, hi = float(x_range[0]), float(x_range[1])
     if not lo < hi:
         raise ValueError(f"empty range {x_range}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    check_count("n_samples", n_samples, 1)
+    check_count("seed", seed, 0)
     name, fn = resolve_univariate(target)
     rng = np.random.default_rng(seed)
     x = rng.uniform(lo, hi, n_samples)

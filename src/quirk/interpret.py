@@ -31,8 +31,8 @@ from numpy.polynomial import chebyshev as _cheb
 from .dr import dr_forward_batch
 from .network import (Model, apply_input_norm, edge_samples, network_forward,
                       rescale, spec_from_shape, unit_divisors)
-from .data import (check_records, read_record, read_records, write_csv_rows,
-                   write_records)
+from .data import (check_count, check_records, finite_rows, read_record,
+                   read_records, write_csv_rows, write_records)
 
 DEFAULT_GRID_SIZE = 257
 DEFAULT_MAX_DEGREE = 6
@@ -108,10 +108,9 @@ def _fit_polys(xs: np.ndarray, ys: np.ndarray, max_degree: int,
     """``fit_poly`` on every row of ys (E, grid) at once: one least-squares
     solve per degree covers every row still short of ``r2_target``, and each
     row keeps the first degree that reaches it, else ``max_degree``."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.ascontiguousarray(ys, dtype=np.float64)
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    xs = finite_rows(xs, "grid", single=True)
+    ys = np.ascontiguousarray(finite_rows(ys, "samples", xs.size))
+    check_count("max_degree", max_degree, 0)
     if xs.size < max_degree + 1:
         raise ValueError(f"{xs.size} points cannot fix degree {max_degree}")
     if np.ptp(xs) == 0.0:
@@ -141,10 +140,11 @@ def _fit_polys(xs: np.ndarray, ys: np.ndarray, max_degree: int,
 def fit_poly(xs, ys, max_degree: int = DEFAULT_MAX_DEGREE,
              r2_target: float = DEFAULT_R2_TARGET) -> PolyFit:
     """Smallest-degree polynomial through samples ``ys`` at grid ``xs``
-    reaching ``r2_target``, else the ``max_degree`` fit.  Least squares on
+    reaching ``r2_target``, else the ``max_degree`` fit.  ``xs`` and ``ys``
+    are finite rows (grid,) (see ``data.finite_rows``).  Least squares on
     the Chebyshev basis; coefficients returned as monomials in t, degree + 1
     of them."""
-    return _fit_polys(xs, np.asarray(ys, dtype=np.float64)[None],
+    return _fit_polys(xs, finite_rows(ys, "samples", single=True)[None],
                       max_degree, r2_target)[0]
 
 
@@ -211,13 +211,10 @@ class InterpretReport:
 
 
 def surrogate_forward(report: InterpretReport, raw_input) -> np.ndarray:
-    """Run the polynomial surrogate on raw features: every edge circuit is
+    """Run the polynomial surrogate on finite raw features, (input_dim,) or
+    (B, input_dim) (see ``data.finite_rows``): every edge circuit is
     replaced by its fitted polynomial, everything else is unchanged."""
-    X = np.atleast_2d(np.asarray(raw_input, dtype=np.float64))
-    if X.shape[1] != len(report.input_norm):
-        raise ValueError(f"expected {len(report.input_norm)} features")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
+    X = finite_rows(raw_input, "features", len(report.input_norm))
     h = apply_input_norm(np.asarray(report.input_norm), X)
     n_layers = len(report.divisors)
     fits = {e.edge_id: e.fit.coefficients for e in report.edges if e.active}

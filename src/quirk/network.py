@@ -39,7 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import check_records, read_record, read_records, write_records
+from .data import (check_count, check_records, finite_rows, read_record,
+                   read_records, write_records)
 from .dr import DEFAULT_TEMPLATE, GateTemplate, _check_capacity, _series
 
 
@@ -64,8 +65,7 @@ class LayerSpec:
 
     def __post_init__(self):
         for name in ("fan_in", "units", "dr_layers", "qubits_per_edge"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            check_count(name, getattr(self, name), 1)
         _check_capacity(self.qubits_per_edge)
 
     @property
@@ -89,8 +89,8 @@ class NetworkSpec:
     template: GateTemplate = field(default_factory=GateTemplate)
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
+        check_count("input_dim", self.input_dim, 1)
+        check_count("seed", self.seed, 0)
         if not self.layers:
             raise ValueError("need at least one layer")
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -123,7 +123,7 @@ def spec_from_shape(shape, dr_layers, dense_head=False, bias_flag=0, seed=0,
     if len(shape) < 2:
         raise ValueError("shape needs an input width and at least one layer")
     n_layers = len(shape) - 1
-    if isinstance(dr_layers, int):
+    if np.ndim(dr_layers) == 0:
         dr_layers = [dr_layers] * n_layers
     if len(dr_layers) != n_layers:
         raise ValueError(f"got {len(dr_layers)} dr_layers entries for {n_layers} layers")
@@ -210,9 +210,9 @@ def init_model(spec: NetworkSpec) -> Model:
 
 
 def fit_input_norm(X: np.ndarray) -> np.ndarray:
-    """Per-feature (min, max) over a training matrix; degenerate (constant)
-    features get a unit-wide window so min < max always holds."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    """Per-feature (min, max) over finite training rows; degenerate
+    (constant) features get a unit-wide window so min < max always holds."""
+    X = finite_rows(X, "features")
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     flat = hi - lo <= 0
@@ -417,29 +417,20 @@ def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
             terms[..., :B].transpose(1, 0, 2) if want_grads else None)
 
 
-def _finite_features(X: np.ndarray) -> None:
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-
-
 def layer_forward(inputs, thetas, active=None, entangle: bool = False,
                   template: GateTemplate = DEFAULT_TEMPLATE):
     """Unit sums of one layer: out[u] = sum_i DR(inputs[i]; thetas[:, i, u]).
 
-    ``inputs`` is (fan_in,) or (B, fan_in), finite; ``thetas`` is stacked
-    (L, fan_in, units, P) (single qubit) or (L, fan_in, units, n, P).  A unit
-    with no live edge sums to 0.
+    ``inputs`` are finite rows (fan_in,) or (B, fan_in) (see
+    ``data.finite_rows``); ``thetas`` is stacked (L, fan_in, units, P)
+    (single qubit) or (L, fan_in, units, n, P).  A unit with no live edge
+    sums to 0.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
-    inputs = np.asarray(inputs, dtype=np.float64)
-    single = inputs.ndim == 1
-    h = np.atleast_2d(inputs)
     if thetas.ndim not in (4, 5):
         raise ValueError(f"stacked thetas must have 4 or 5 dims, got {thetas.ndim}")
     fan_in, units = thetas.shape[1], thetas.shape[2]
-    if h.shape[1] != fan_in:
-        raise ValueError(f"input length {h.shape[1]} != fan_in {fan_in}")
-    _finite_features(h)
+    h = finite_rows(inputs, "features", fan_in)
     if thetas.shape[-1] != template.params_per_layer:
         raise ValueError(f"thetas last dim {thetas.shape[-1]} does not match "
                          f"template params_per_layer={template.params_per_layer}")
@@ -452,7 +443,7 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
         raise ValueError(f"active shape {active.shape} != {(fan_in, units)}")
     blk = _compiled((layer,), template, [thetas], [active])[0]
     sums = _layer_eval(h[:, blk.ins], blk.K, blk.c, want_grads=False)[0]
-    return sums[0] if single else sums
+    return sums[0] if np.ndim(inputs) == 1 else sums
 
 
 def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
@@ -465,11 +456,7 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
     if model.input_norm is None:
         raise RuntimeError(
             "input normalization is unfitted; train first or set model.input_norm")
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.spec.input_dim:
-        raise ValueError(
-            f"expected {model.spec.input_dim} features, got {X.shape[1]}")
-    _finite_features(X)
+    X = finite_rows(X, "features", model.spec.input_dim)
     caches = []
     n_layers = len(model.spec.layers)
     series = _compiled(model.spec.layers, model.spec.template, model.thetas,
@@ -492,10 +479,9 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
 
 def network_forward(raw_input, model: Model):
     """Model output for one sample (returns float) or a batch (B, input_dim)
-    (returns (B,)); inputs are raw features, normalized internally."""
-    arr = np.asarray(raw_input, dtype=np.float64)
-    out, _ = _forward_pass(model, arr, want_grads=False)
-    return float(out[0]) if arr.ndim <= 1 else out
+    (returns (B,)) of finite raw features, normalized internally."""
+    out, _ = _forward_pass(model, raw_input, want_grads=False)
+    return float(out[0]) if np.ndim(raw_input) == 1 else out
 
 
 def edge_scores(model: Model, X_train) -> list:
@@ -510,9 +496,9 @@ def edge_scores(model: Model, X_train) -> list:
 
 
 def edge_samples(model: Model, xs) -> np.ndarray:
-    """Every live edge on the encoded grid ``xs`` (grid,), one row per edge
-    in (layer, input, unit) order."""
-    x, rows = np.asarray(xs, dtype=np.float64)[:, None], []
+    """Every live edge on the encoded grid ``xs``, a finite row (grid,) (see
+    ``data.finite_rows``), one row per edge in (layer, input, unit) order."""
+    x, rows = finite_rows(xs, "grid", single=True)[:, None], []
     for blk in _compiled(model.spec.layers, model.spec.template, model.thetas,
                          model.edge_active):
         f = _layer_eval(np.repeat(x, len(blk.c), axis=1), blk.K, blk.c,
@@ -531,13 +517,14 @@ class Gradients:
 
 
 def network_backward(X, y, model: Model):
-    """Exact gradients of L = mean((yhat - y)^2) / 2 over a non-empty batch.
+    """Exact gradients of L = mean((yhat - y)^2) / 2 over a non-empty batch:
+    finite rows X (B, input_dim) and finite targets y (B,).
 
     Returns (loss, yhat, Gradients).  Chain rule runs through the dense head,
     every live block's DR edges, and the inter-layer rescales (see rescale
     for their slope).  Gradients outside the blocks are exactly 0.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    y = finite_rows(y, "targets", single=True)
     B = y.shape[0]
     if B == 0:
         raise ValueError("network_backward needs at least one row")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, write_csv_rows
+from .data import Dataset, check_count, write_csv_rows
 from .network import (
     Model,
     NetworkSpec,
@@ -39,12 +39,6 @@ DEFAULT_PRUNE_TAU = 0.05
 
 class TrainingDivergedError(RuntimeError):
     """Loss or parameters went non-finite during optimization."""
-
-
-def _check_count(name: str, v, least: int) -> None:
-    # counts and seeds are integers (numpy's too, a bool is not)
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass
@@ -71,7 +65,7 @@ class TrainConfig:
         for name, least in (("batch_size", 1), ("max_steps", 1),
                             ("early_stop_patience", 1), ("seed", 0)):
             if not (name == "batch_size" and self.batch_size is None):
-                _check_count(name, getattr(self, name), least)
+                check_count(name, getattr(self, name), least)
 
 
 @dataclass
@@ -245,7 +239,7 @@ def prune(model: Model, dataset: Dataset, tau: float = DEFAULT_PRUNE_TAU,
     """
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    _check_count("fine_tune_steps", fine_tune_steps, 0)
+    check_count("fine_tune_steps", fine_tune_steps, 0)
     config = config or TrainConfig()
     X_tr, y_tr, X_val, y_val = _split(dataset, config)
 

@@ -11,16 +11,15 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 import oracles
 from circuits import init_dr_params, kernel_dtheta, series_dx
 from quirk.bspline import fit as fit_bspline
-from quirk.data import Dataset, generate, generate_univariate, target_scale
+from quirk.data import generate, generate_univariate
 from quirk.dr import (DEFAULT_TEMPLATE, SU2_TEMPLATE, DRParams, GateTemplate,
                       dr_forward_batch)
 from quirk.interpret import report as interpret_report
-from quirk.network import (Model, _forward_pass, fit_input_norm, init_model,
+from quirk.network import (_forward_pass, fit_input_norm, init_model,
                            load_model, network_backward, network_forward,
                            param_count, rescale, save_model, spec_from_shape)
 from quirk.train import TrainConfig, prune, rmse, train
@@ -37,16 +36,10 @@ def _line(n, name, t0, budget, ok, detail):
     assert elapsed < budget, f"took {elapsed:.1f}s, budget {budget:.0f}s"
 
 
-def _unit_scale(ds: Dataset) -> Dataset:
-    _, ytr = ds.part("train")
-    return Dataset(ds.X, ds.y / target_scale(ytr), ds.columns, ds.splits,
-                   ds.seed)
-
-
 def _trained(key, equation, shape, dr_layers, steps=4000, lr=0.02):
     """Train once per session; both the table and pruning checks reuse I.6.2."""
     if key not in _cache:
-        ds = _unit_scale(generate(equation, 3000, seed=11).split(seed=11))
+        ds = generate(equation, 3000, seed=11).split(seed=11).unit_scaled()
         spec = spec_from_shape(shape, dr_layers=dr_layers, dense_head=False,
                                seed=0)
         cfg = TrainConfig(learning_rate=lr, max_steps=steps, seed=0,
@@ -186,9 +179,8 @@ def test_criterion_3_range_invariants():
 
 def test_criterion_4_dr_vs_spline_efficiency():
     t0 = time.perf_counter()
-    ds = _unit_scale(
-        generate_univariate("exp_sin_poly", 3000, x_range=(0, 20),
-                            seed=11).split(seed=11))
+    ds = generate_univariate("exp_sin_poly", 3000, x_range=(0, 20),
+                             seed=11).split(seed=11).unit_scaled()
     Xtr, ytr = ds.part("train")
     Xte, yte = ds.part("test")
     spline = fit_bspline((Xtr[:, 0], ytr), n_coeffs=16, S=1.0)

@@ -1,0 +1,113 @@
+"""Every public entry checks its input at the boundary: rows of features,
+grids, samples and targets by ``data.finite_rows``, counts and seeds by
+``data.check_count``.  A bad value raises a ValueError that names the kind
+of input or the field, before any numpy error or NaN; a numpy integer is
+taken wherever an int is."""
+
+from functools import cache
+
+import numpy as np
+import pytest
+
+from quirk.data import Dataset, generate, generate_univariate
+from quirk.interpret import fit_poly, report, surrogate_forward
+from quirk.network import (LayerSpec, NetworkSpec, edge_samples, edge_scores,
+                           fit_input_norm, init_model, layer_forward,
+                           network_backward, network_forward, spec_from_shape)
+
+
+@cache
+def _model():
+    m = init_model(spec_from_shape([2, 2, 1], dr_layers=2, seed=0))
+    m.input_norm = np.array([[0.0, 1.0], [0.0, 1.0]])
+    return m
+
+
+@cache
+def _report():
+    X = np.random.default_rng(0).uniform(0, 1, (20, 2))
+    return report(_model(), Dataset(X, np.zeros(20)), grid_size=33)
+
+
+GRID = np.linspace(0.0, np.pi, 33)
+
+# entry, kind of input, its width (None: any), whether it takes only one
+# row, and the call on that input
+ROW_ENTRIES = [
+    ("network_forward", "features", 2, False,
+     lambda X: network_forward(X, _model())),
+    ("network_backward", "features", 2, False,
+     lambda X: network_backward(X, np.zeros(len(X)), _model())),
+    ("network_backward", "targets", 3, True,
+     lambda y: network_backward(np.full((3, 2), 0.5), y, _model())),
+    ("edge_scores", "features", 2, False, lambda X: edge_scores(_model(), X)),
+    ("edge_samples", "grid", None, True, lambda xs: edge_samples(_model(), xs)),
+    ("layer_forward", "features", 2, False,
+     lambda X: layer_forward(X, _model().thetas[0])),
+    ("surrogate_forward", "features", 2, False,
+     lambda X: surrogate_forward(_report(), X)),
+    ("fit_poly", "grid", None, True, lambda xs: fit_poly(xs, np.sin(GRID))),
+    ("fit_poly", "samples", len(GRID), True, lambda ys: fit_poly(GRID, ys)),
+    ("fit_input_norm", "features", None, False, fit_input_norm),
+]
+
+
+def _row_cases():
+    for entry, kind, width, single, call in ROW_ENTRIES:
+        good = (np.linspace(0.1, 3.0, width or len(GRID)) if single
+                else np.full((3, width or 2), 0.5))
+        shapes = {"3-D": good[None, None] if single else np.zeros((2, 2, 2)),
+                  "2-D": good[None] if single else None,
+                  "width": None if width is None else (
+                      good[:-1] if single else np.zeros((3, width + 1)))}
+        for case, bad in shapes.items():
+            if bad is not None:
+                yield pytest.param(call, bad, kind, id=f"{entry}-{kind}-{case}")
+        for value in (np.nan, np.inf, -np.inf):
+            bad = good.copy()
+            bad.flat[1] = value
+            yield pytest.param(call, bad, f"{kind} must be finite",
+                               id=f"{entry}-{kind}-{value}")
+
+
+@pytest.mark.parametrize("call, bad, match", _row_cases())
+def test_bad_rows_rejected_at_the_entry(call, bad, match):
+    with pytest.raises(ValueError, match=match):
+        call(bad)
+
+
+# entry, field, its least value, and the call on that value
+COUNT_ENTRIES = [
+    ("LayerSpec", "fan_in", 1, lambda v: LayerSpec(v, 1, 1)),
+    ("LayerSpec", "units", 1, lambda v: LayerSpec(1, v, 1)),
+    ("LayerSpec", "dr_layers", 1, lambda v: LayerSpec(1, 1, v)),
+    ("LayerSpec", "qubits_per_edge", 1, lambda v: LayerSpec(1, 1, 1, v)),
+    ("NetworkSpec", "input_dim", 1, lambda v: NetworkSpec(v, (LayerSpec(2, 1, 1),))),
+    ("NetworkSpec", "seed", 0, lambda v: NetworkSpec(1, (LayerSpec(1, 1, 1),), seed=v)),
+    ("spec_from_shape", "fan_in", 1, lambda v: spec_from_shape([v, 1], 1)),
+    ("spec_from_shape", "units", 1, lambda v: spec_from_shape([2, v, 1], 1)),
+    ("spec_from_shape", "dr_layers", 1, lambda v: spec_from_shape([2, 1], v)),
+    ("spec_from_shape", "seed", 0, lambda v: spec_from_shape([2, 1], 1, seed=v)),
+    ("generate", "n_samples", 1, lambda v: generate("I.6.2", v)),
+    ("generate", "seed", 0, lambda v: generate("I.6.2", 5, seed=v)),
+    ("generate_univariate", "n_samples", 1, lambda v: generate_univariate("sin", v)),
+    ("generate_univariate", "seed", 0,
+     lambda v: generate_univariate("sin", 5, seed=v)),
+]
+
+
+@pytest.mark.parametrize("bad", [2.5, True, -1])
+@pytest.mark.parametrize("entry, field, least, call", COUNT_ENTRIES,
+                         ids=[f"{e}-{f}" for e, f, _, _ in COUNT_ENTRIES])
+def test_bad_count_rejected_at_the_entry(entry, field, least, call, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= {least}, "):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry, field, least, call", COUNT_ENTRIES,
+                         ids=[f"{e}-{f}" for e, f, _, _ in COUNT_ENTRIES])
+def test_numpy_integer_count_accepted(entry, field, least, call):
+    got, want = call(np.int64(least + 1)), call(least + 1)
+    if isinstance(got, Dataset):
+        got, want = ((d.X.tobytes(), d.y.tobytes()) for d in (got, want))
+    assert got == want

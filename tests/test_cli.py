@@ -1,7 +1,6 @@
 import argparse
 import dataclasses
 import inspect
-import os
 import xml.etree.ElementTree as ET
 
 import numpy as np

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from quirk.data import (CSVFormatError, DEMO_EQUATIONS, EQUATIONS,
-                        FEYNMAN_EQUATIONS, Dataset, generate,
+                        FEYNMAN_EQUATIONS, generate,
                         generate_univariate, load_csv, read_csv_rows,
                         resolve_univariate, save_csv, target_scale,
                         train_val_test_split, write_csv_rows)

@@ -1,5 +1,4 @@
 import dataclasses
-import os
 import re
 import tracemalloc
 import warnings

@@ -13,7 +13,7 @@ from quirk.data import Dataset
 from quirk.interpret import DEFAULT_GRID_SIZE
 from quirk.train import edge_scores
 from quirk.dr import DEFAULT_TEMPLATE, SU2_TEMPLATE, GateTemplate, _forward, _grad, _series
-from quirk.network import (LayerSpec, Model, ModelFormatError,
+from quirk.network import (LayerSpec, ModelFormatError,
                            ModelVersionError, NetworkSpec, fit_input_norm,
                            apply_input_norm, init_model, load_model,
                            network_backward, network_forward, param_count,
@@ -432,6 +432,18 @@ class TestSerialization:
             p.write_text("\n".join(lines) + "\n")
             with pytest.raises(ModelFormatError, match=rf"line {at + 1}: .*finite"):
                 load_model(p)
+
+    def test_negative_seed_fails_at_layers_record(self, tmp_path):
+        # the spec's own rule, as for any architecture the spec rejects
+        p = tmp_path / "m.txt"
+        save_model(small_model((2, 1), dr_layers=1), p)
+        lines = p.read_text().splitlines()
+        lines = [("seed -1" if ln.split()[0] == "seed" else ln) for ln in lines]
+        p.write_text("\n".join(lines) + "\n")
+        at = next(i for i, ln in enumerate(lines) if ln.split()[0] == "layers")
+        with pytest.raises(ModelFormatError,
+                           match=rf"^line {at + 1}: .*seed must be an integer >= 0, got -1"):
+            load_model(p)
 
     @pytest.mark.parametrize("record", ["edge", "dense", "norm", "quirk-model",
                                         "template", "layers", "layer", "end"])

@@ -1,13 +1,14 @@
 """The benchmark harness reaches into the package by name; a renamed or
 removed name must fail here, not only in a benchmark run.  The package's own
 modules keep to network.py's public names and evaluate an edge only from its
-compiled series."""
+compiled series.  No module, test or demo imports a name it does not use."""
 
 import ast
 import importlib
 from pathlib import Path
 
-RUN = Path(__file__).resolve().parents[1] / "benchmarks" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN = ROOT / "benchmarks" / "run.py"
 
 
 def _benchmark_names() -> set:
@@ -72,3 +73,30 @@ def test_one_edge_evaluator():
     # the parse must see the compile's own call, or it would check nothing
     assert series == 1
     assert not calls, f"calls into the statevector kernel: {calls}"
+
+
+def test_no_unused_imports():
+    """Every imported name is read in its file, except the names that
+    benchmarks/run.py pins in the package (its tracer wraps them)."""
+    pinned = _benchmark_names()
+    files = [p for p in sorted((ROOT / "src" / "quirk").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"quirk.{path.stem}" if path.parent.name == "quirk" else None
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                       for name in names
+                       if name not in read and (module, name) not in pinned]
+    # the scan must see the files, or it would check nothing
+    assert len(files) > 20
+    assert not unused, f"unused imports: {unused}"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quirk.data import Dataset, generate, train_val_test_split
+from quirk.data import Dataset, train_val_test_split
 from quirk.network import (fit_input_norm, init_model, network_forward,
                            param_count, spec_from_shape)
 from quirk.train import (AdamState, TrainConfig, TrainingDivergedError,
