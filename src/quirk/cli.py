@@ -274,7 +274,7 @@ def _interpret_settings(cfg) -> dict:
     """Keyword arguments of interpret.report from the [interpret] section."""
     i = cfg["interpret"]
     try:
-        interpret.check_settings(i["grid_size"], i["max_degree"])
+        interpret.check_settings(i["grid_size"], i["max_degree"], i["r2_target"])
     except ValueError as exc:
         raise ConfigError(f"[interpret] {exc}") from exc
     return {k: i[k] for k in ("grid_size", "max_degree", "r2_target")}

@@ -45,7 +45,9 @@ def finite_rows(values, what: str, width: int | None = None,
         n = "n" if width is None else width
         want = f"({n},)" if single else f"({n},) or (B, {n})"
         raise ValueError(f"{what} must have shape {want}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # the method, not np.all: it skips numpy's Python wrapper, which is a
+    # microsecond of every served row
+    if not np.isfinite(a).all():
         raise ValueError(f"{what} must be finite")
     return a if single else a.reshape(-1, a.shape[-1])
 
@@ -261,6 +263,8 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.atleast_2d(np.asarray(self.X, dtype=np.float64))
+        if self.X.ndim > 2:
+            raise ValueError(f"features must have shape (B, n), got {self.X.shape}")
         self.y = np.asarray(self.y, dtype=np.float64).reshape(-1)
         if self.X.shape[0] != self.y.shape[0]:
             raise ValueError(

@@ -246,12 +246,17 @@ def surrogate_forward(report: InterpretReport, raw_input) -> np.ndarray:
     return out
 
 
-def check_settings(grid_size: int, max_degree: int) -> None:
-    """The readout's grid rule, shared by ``report``, report files and the
-    CLI: a degree-d fit needs more than d grid points."""
-    if not (0 <= max_degree < grid_size and grid_size >= 2):
+def check_settings(grid_size: int, max_degree: int, r2_target: float) -> None:
+    """The readout's settings rule, shared by ``report``, report files and
+    the CLI: ``grid_size`` is a count of at least 2 (see
+    ``data.check_count``), ``r2_target`` is finite, and a degree-d fit needs
+    more than d grid points."""
+    check_count("grid_size", grid_size, 2)
+    if not np.isfinite(r2_target):
+        raise ValueError(f"r2_target must be finite, got {r2_target!r}")
+    if not 0 <= max_degree < grid_size:
         raise ValueError(f"grid {grid_size} and max_degree {max_degree} break "
-                         f"0 <= max_degree < grid_size, grid_size >= 2")
+                         f"0 <= max_degree < grid_size")
 
 
 def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
@@ -267,7 +272,7 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
     otherwise all rows)."""
     if model.input_norm is None:
         raise RuntimeError("model has no fitted input normalization")
-    check_settings(grid_size, max_degree)
+    check_settings(grid_size, max_degree, r2_target)
     xs = np.linspace(0.0, np.pi, grid_size)
     fits = iter(_fit_polys(xs, edge_samples(model, xs), max_degree, r2_target))
     edges = [EdgeReport(edge_id=(k, i, u), active=bool(live),
@@ -342,7 +347,7 @@ def load_report(path) -> InterpretReport:
     read = partial(read_record, recs, fail=fail)
 
     def settings(values):
-        check_settings(*values[:2])
+        check_settings(*values)
         return dict(zip(("grid_size", "max_degree", "r2_target"), values))
 
     def divisors(values, k):

@@ -111,3 +111,24 @@ def test_numpy_integer_count_accepted(entry, field, least, call):
     if isinstance(got, Dataset):
         got, want = ((d.X.tobytes(), d.y.tobytes()) for d in (got, want))
     assert got == want
+
+
+# report's settings (see interpret.check_settings): the grid is a count
+# like any other, and r2_target a finite number
+@pytest.mark.parametrize("field, bad, match", [
+    ("grid_size", 2.5, "^grid_size must be an integer >= 2, got 2.5"),
+    ("grid_size", True, "^grid_size must be an integer >= 2, got True"),
+    ("grid_size", -1, "^grid_size must be an integer >= 2, got -1"),
+    ("r2_target", np.nan, "^r2_target must be finite, got nan"),
+    ("r2_target", np.inf, "^r2_target must be finite, got inf"),
+])
+def test_bad_report_setting_rejected(field, bad, match):
+    X = np.random.default_rng(0).uniform(0, 1, (20, 2))
+    with pytest.raises(ValueError, match=match):
+        report(_model(), Dataset(X, np.zeros(20)), **{field: bad})
+
+
+def test_dataset_rejects_3d_features():
+    with pytest.raises(ValueError, match=r"^features must have shape \(B, n\), "
+                                         r"got \(3, 2, 2\)"):
+        Dataset(np.zeros((3, 2, 2)), np.zeros(3))

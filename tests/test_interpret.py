@@ -452,9 +452,9 @@ class TestReport:
         ("shape 2 2 1", "shape 3 2 1", "input record 2"),
         ("settings grid 257 max_degree 6", "settings grid 257 max_degree -3",
          "max_degree -3 break"),
-        ("settings grid 257 ", "settings grid 0 ", "grid 0 and"),
+        ("settings grid 257 ", "settings grid 0 ", "grid_size must be an integer >= 2, got 0"),
         ("settings grid 257 max_degree 6", "settings grid 1 max_degree 0",
-         "grid 1 and"),
+         "grid_size must be an integer >= 2, got 1"),
         ("settings grid 257 ", "settings grid 6 ", "grid 6 and"),
         ("settings grid 257 max_degree 6", "settings grid 257 max_degree 1",
          "degree [2-6] exceeds max_degree 1"),

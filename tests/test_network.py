@@ -121,6 +121,14 @@ class TestInputNorm:
         out = apply_input_norm(norm, X)
         assert np.all(np.isfinite(out))
 
+    def test_clamp_equals_clip_bitwise(self):
+        rng = np.random.default_rng(0)
+        norm = np.array([[0.0, 1.0], [-2.0, 5.0]])
+        X = rng.uniform(-3.0, 6.0, (4000, 2))
+        X[:3] = [[-0.0, -2.0], [0.0, 5.0], [1e300, -1e300]]
+        want = np.clip((X - norm[:, 0]) / (norm[:, 1] - norm[:, 0]) * np.pi, 0.0, np.pi)
+        assert apply_input_norm(norm, X).tobytes() == want.tobytes()
+
 
 class TestRescale:
     def test_endpoints(self):
@@ -149,6 +157,20 @@ class TestRescale:
     def test_fan_in_validated(self):
         with pytest.raises(ValueError, match="fan_in"):
             rescale(np.array([0.0]), 0.5)
+
+    @pytest.mark.parametrize("b", [0, 1])
+    @pytest.mark.parametrize("per_unit", [False, True])
+    def test_one_clamp_equals_two_clips_bitwise(self, b, per_unit):
+        # the map's image clamped once has the bits of v clamped to +-|I|
+        # and then the image clipped to [0, pi]
+        rng = np.random.default_rng(b + 2 * per_unit)
+        cap = rng.integers(1, 9, size=5).astype(float) if per_unit else 3.0
+        v = rng.uniform(-12.0, 12.0, (4000, 5)) * rng.choice([1e-3, 1.0], (4000, 5))
+        for r, edge in enumerate([cap, -np.asarray(cap), 0.0, -0.0, 1e300, -1e300]):
+            v[r] = edge
+        clipped = np.clip(v, -np.asarray(cap), cap)
+        want = np.clip(((clipped / cap) + (1 - b)) / 2.0 * np.pi, 0.0, np.pi)
+        assert rescale(v, cap, b=b).tobytes() == want.tobytes()
 
 
 class TestForward:
@@ -996,6 +1018,32 @@ def test_rows_are_bit_equal_at_every_tile_offset(qubits, seed, one_unit):
         _, _, grads = network_backward(X[:B], y[:B], m)
         for g, whole in zip(grads.thetas, _whole_layer_backward(m, X[:B], y[:B])):
             npt.assert_array_equal(g, whole)  # to the last bit
+
+
+# --- the Fourier basis ------------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [3, 12])  # 12: 2-qubit edges with L = 6
+def test_basis_matches_cos_and_sin(K):
+    rng = np.random.default_rng(K)
+    x = np.concatenate([[0.0, np.pi, np.pi / 2, 1e-300, np.nextafter(np.pi, 0.0)],
+                        rng.uniform(0.0, np.pi, 10**4)])
+    basis = network._layer_eval(x[:, None], K, np.zeros((1, 1, 2 * K + 1)), True)[2][0]
+    assert basis.shape == (2 * K + 1, len(x)) and np.all(basis[0] == 1.0)
+    for k in range(1, K + 1):
+        npt.assert_allclose(basis[k], np.cos(k * x), rtol=0, atol=1e-15 * k)
+        npt.assert_allclose(basis[K + k], np.sin(k * x), rtol=0, atol=1e-15 * k)
+
+
+def test_basis_row_alone_equals_its_batch_row_bitwise():
+    K, rng = 6, np.random.default_rng(7)
+    c = np.zeros((2, 1, 2 * K + 1))
+    h = rng.uniform(0.0, np.pi, (5000, 2))
+    batch = network._layer_eval(h, K, c, True)[2]
+    for r in range(network._TILE):  # row j sits at offset r of its tile
+        j = r + network._TILE * (5 * r % (5000 // network._TILE))
+        alone = network._layer_eval(h[j:j + 1], K, c, True)[2]
+        assert alone.tobytes() == batch[:, :, j:j + 1].tobytes()
 
 
 def test_edge_scores_read_real_rows_only():

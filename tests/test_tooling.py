@@ -75,6 +75,19 @@ def test_one_edge_evaluator():
     assert not calls, f"calls into the statevector kernel: {calls}"
 
 
+def test_network_builds_no_scalar_trig():
+    """network.py forms cos x and sin x from one np.tan (see _layer_eval):
+    numpy's float64 cos and sin are scalar loops, many times slower per
+    element, so neither may come back into the evaluation."""
+    tree = ast.parse((ROOT / "src" / "quirk" / "network.py").read_text(encoding="utf-8"))
+    calls = {node.func.attr: node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    # the parse must see the tangent, or it would check nothing
+    assert "tan" in calls
+    trig = {name: line for name, line in calls.items() if name in ("cos", "sin")}
+    assert not trig, f"network.py calls np.cos / np.sin: {trig}"
+
+
 def test_no_unused_imports():
     """Every imported name is read in its file, except the names that
     benchmarks/run.py pins in the package (its tracer wraps them)."""
