@@ -311,7 +311,7 @@ def _check_splits(splits: dict, n: int) -> None:
     if set(splits) != want:
         raise ValueError(f"splits must have keys {sorted(want)}")
     merged = np.concatenate([np.asarray(splits[k], dtype=int) for k in sorted(want)])
-    if sorted(merged.tolist()) != list(range(n)):
+    if merged.shape != (n,) or np.any(np.sort(merged) != np.arange(n)):
         raise ValueError("split indices must be disjoint and cover every row")
 
 

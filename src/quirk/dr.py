@@ -8,10 +8,13 @@ trainable rotations fed by angles::
 The readout is <Z> of the final state, a smooth function of x in [-1, 1].
 An n-qubit edge runs every gate of a layer on each qubit (with its own
 angles), optionally followed by a ring of CNOTs, and reads <Z> on qubit 0.
-Gradients with respect to every angle are computed in one adjoint reverse
-sweep that undoes each gate on the final state and its adjoint together
-(stacked on one axis), so no per-gate state is stored and the cost is O(L)
-per sample; the parameter-shift rule exists in the test suite as an
+Gradients with respect to every angle are exact and cost O(L) per sample.
+Within each circuit layer the forward sweep carries one tangent per
+trainable angle of that layer, stacked on the state's amplitudes; a
+reverse sweep then undoes the gates on the cotangent alone and reads all
+of a layer's gradients in one overlap with its tangents.  Every gate's
+coefficients are taken once per call, vectorised over layers, edges and
+qubits.  The parameter-shift rule exists in the test suite as an
 independent oracle, not here.
 
 Internally everything is vectorized: the kernel accepts an input array of
@@ -20,7 +23,7 @@ or ``(L, ..., n, P)`` whose middle axes broadcast against the input.
 
 The kernel is also a compiler.  With K encoding gates in all, the readout
 is exactly a real trigonometric polynomial of degree K in x, so ``_series``
-runs the adjoint sweep once on 2K+1 nodes for a flat stack of edges and
+runs those sweeps once on 2K+1 nodes for a flat stack of edges and
 turns each edge's values and angle gradients into its Fourier coefficients
 and their Jacobian with a fixed real DFT, the same product for every edge.
 It is a plain function: the network memoises its results, once per network
@@ -31,6 +34,7 @@ statevector kernel serves ``dr_forward_batch`` and the compile step.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -148,43 +152,43 @@ def _clamp_domain(xs: np.ndarray, clamp: bool) -> np.ndarray:
 # An n-qubit state is a list of 2^n complex amplitude arrays (qubit 0 is the
 # most significant bit of the list index), each broadcast over the batch, so
 # a gate is a handful of broadcast multiplies per amplitude pair and a CNOT
-# only reorders the list.  The reverse sweep keeps the same list, with each
-# amplitude holding (psi_i, lam_i) stacked on a new leading axis.
+# only reorders the list.  A call takes every gate's coefficients from one
+# table (``_coeffs``), so no op evaluates trig itself.
 
 
 def _gate_coeffs(kind: str, a):
-    # (cos, sin) of the half angle, or the RZ phase pair
+    # complex (u, v) of rotations G by the angles a, as _gate_apply reads
+    # them (rx's -i sin folded into v), of their inverses, and of G by a +
+    # pi, which is -i P G for the kind's generator P: twice G's derivative
     if kind == "rz":
-        p = np.exp(-0.5j * np.asarray(a))
-        return p, np.conj(p)
+        u = np.exp(-0.5j * np.asarray(a))
+        v = np.conj(u)
+        return (u, v), (v, u), (-1j * u, 1j * v)
     half = a / 2.0
-    return np.cos(half), np.sin(half)
+    u = np.cos(half).astype(np.complex128)
+    if kind == "rx":
+        v = -1j * np.sin(half)
+        return (u, v), (u, -v), (-1j * v, -1j * u)
+    v = np.sin(half).astype(np.complex128)
+    return (u, v), (u, -v), (-v, u)
 
 
 def _gate_apply(kind: str, coeffs, s0, s1):
-    c, s = coeffs
+    u, v = coeffs
     if kind == "rx":
-        return c * s0 - 1j * s * s1, -1j * s * s0 + c * s1
+        return u * s0 + v * s1, v * s0 + u * s1
     if kind == "ry":
-        return c * s0 - s * s1, s * s0 + c * s1
-    return c * s0, s * s1  # rz
-
-
-def _pauli_apply(kind: str, s0, s1):
-    # generator of each rotation kind
-    if kind == "rx":
-        return s1, s0
-    if kind == "ry":
-        return -1j * s1, 1j * s0
-    return s0, -s1  # rz
+        return u * s0 - v * s1, v * s0 + u * s1
+    return u * s0, v * s1  # rz
 
 
 @lru_cache(maxsize=None)
 def _ops(n: int, entangle: bool, template: GateTemplate, L: int) -> tuple:
-    """The circuit as a flat op list.  A rotation is (kind, index, pairs):
-    its angle is thetas[index] (the input when index is None) and it mixes
-    the amplitude pairs (i, i | bit) of its qubit.  An entangling ring of
-    CNOTs (0->1, ..., n-1->0) is ("cnot", perm, inverse) with
+    """The circuit as a flat op list, layer by layer.  A rotation is
+    (kind, index, pairs): index is None for an encoding gate, else (p, (l, q))
+    for parameter p on qubit q of layer l, and the gate mixes the amplitude
+    pairs (i, i | bit) of its qubit.  An entangling ring of CNOTs
+    (0->1, ..., n-1->0) ends a layer as ("cnot", perm, inverse) with
     new_state[i] = state[perm[i]]."""
     dim = 2**n
     ops = []
@@ -193,9 +197,7 @@ def _ops(n: int, entangle: bool, template: GateTemplate, L: int) -> tuple:
             for q in range(n):
                 bit = 1 << (n - 1 - q)
                 pairs = tuple((i, i | bit) for i in range(dim) if not i & bit)
-                index = (None if source == "input"
-                         else (l, ..., source) if n == 1 else (l, ..., q, source))
-                ops.append((kind, index, pairs))
+                ops.append((kind, None if source == "input" else (source, (l, q)), pairs))
         if entangle and n > 1:
             perm = list(range(dim))
             for c in range(n):
@@ -206,6 +208,35 @@ def _ops(n: int, entangle: bool, template: GateTemplate, L: int) -> tuple:
     return tuple(ops)
 
 
+def _coeffs(xs: np.ndarray, thetas: np.ndarray, n: int, template: GateTemplate,
+            batch: tuple) -> dict:
+    """Every gate's coefficients for one call, each template entry's trig
+    taken once over all layers, edges and qubits.  An encoding kind maps to
+    the (u, v) of its gates, of their inverses and of its gates again; a
+    parameter p to those of its gates and their inverses, (L, n) + ones +
+    thetas' middle axes so that they broadcast against ``batch``, and of
+    its gates on ``_sweeps``' tangent slots, (L, n, slots) + ones + middle
+    axes, where slot 1 + p n + q of p's gate on qubit q is -i P G."""
+    P = template.params_per_layer
+    nd = thetas.ndim - (n > 1)
+    angles = (thetas if n > 1 else thetas[..., None, :]).transpose(
+        (nd, 0, nd - 1) + tuple(range(1, nd - 1)))
+    angles = angles.reshape(angles.shape[:3] + (1,) * (len(batch) + 2 - nd) + angles.shape[3:])
+    own = np.arange(1 + n * P) == 1 + n * np.arange(P)[:, None, None] + np.arange(n)[:, None]
+    own = own.reshape(own.shape + (1,) * len(batch))
+    table = {}
+    for kind, source in template.gates:
+        if source == "input":
+            if kind not in table:
+                fwd, inv, _ = _gate_coeffs(kind, xs)
+                table[kind] = fwd, inv, fwd
+            continue
+        fwd, inv, der = _gate_coeffs(kind, angles[source])
+        table[source] = fwd, inv, tuple(np.where(own[source], d[:, :, None], c[:, :, None])
+                                        for c, d in zip(fwd, der))
+    return table
+
+
 def _setup(xs: np.ndarray, thetas: np.ndarray, n: int):
     # returns (batch shape, |0...0>); thetas end in (P,) or (n, P)
     batch = np.broadcast_shapes(xs.shape, thetas.shape[1:-1] if n == 1 else thetas.shape[1:-2])
@@ -214,19 +245,19 @@ def _setup(xs: np.ndarray, thetas: np.ndarray, n: int):
     return batch, state
 
 
-def _sweep(state: list, ops, xs: np.ndarray, thetas: np.ndarray) -> list:
-    """Run ``ops`` on ``state`` in place."""
-    encode = {}  # every encoding gate of one kind shares its coefficients
+def _sweep(state: list, ops, table: dict, which: int = 0) -> list:
+    """Run ``ops`` on ``state`` in place with coefficients from ``table``
+    (see ``_coeffs``): the ops themselves, their inverses (``which`` = 1)
+    or the ops on a stack of tangent slots (2)."""
     for kind, index, pairs in ops:
-        if kind == "cnot":  # index holds perm
-            state[:] = [state[i] for i in index]
+        if kind == "cnot":  # index holds perm, pairs its inverse
+            state[:] = [state[i] for i in (pairs if which == 1 else index)]
             continue
-        if index is not None:
-            coeffs = _gate_coeffs(kind, thetas[index])
-        elif kind in encode:
-            coeffs = encode[kind]
+        if index is None:
+            coeffs = table[kind][which]
         else:
-            coeffs = encode[kind] = _gate_coeffs(kind, xs)
+            u, v = table[index[0]][which]
+            coeffs = u[index[1]], v[index[1]]
         for i, j in pairs:
             state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
     return state
@@ -243,8 +274,14 @@ def _forward(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
              template: GateTemplate) -> np.ndarray:
     """<Z> for inputs ``xs`` (any shape) against stacked ``thetas``
     (L, ..., P) for n = 1 or (L, ..., n, P)."""
-    _, state = _setup(xs, thetas, n)
-    return _z0(_sweep(state, _ops(n, entangle, template, thetas.shape[0]), xs, thetas))
+    batch, state = _setup(xs, thetas, n)
+    ops = _ops(n, entangle, template, thetas.shape[0])
+    return _z0(_sweep(state, ops, _coeffs(xs, thetas, n, template, batch)))
+
+
+# samples per block of _grad's batch: a block keeps its layers' tangents
+# until its reverse sweep, so a deep circuit on a big batch stores no more
+_BLOCK = 2048
 
 
 def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
@@ -253,40 +290,61 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
 
     Returns (f, dtheta) with f shaped like the broadcast batch and dtheta
     shaped (L,) + batch + thetas' trailing (P,) or (n, P), each entry at
-    its (layer, [qubit,] param-index) slot.
+    its (layer, [qubit,] param-index) slot.  The batch runs in blocks of
+    rows of its first axis, about ``_BLOCK`` samples each (see ``_sweeps``).
     """
-    batch, psi = _setup(xs, thetas, n)
-    ops = _ops(n, entangle, template, thetas.shape[0])
-    f = _z0(_sweep(psi, ops, xs, thetas))
-
-    # reverse sweep over state[i] = (psi_i, lam_i), lam starting as Z_0 psi_N:
-    # undoing gate k with G_k^dagger takes psi_{k+1} back to psi_k, and the
-    # derivative through a trainable gate k is Im <lam | P_k | psi_{k+1}>;
-    # encoding gates are only undone
-    half = len(psi) // 2
-    state = [np.stack((s, s if i < half else -s)) for i, s in enumerate(psi)]
-    encode = {}
-    dtheta = np.zeros(thetas.shape[:1] + batch
-                      + (thetas.shape[-1:] if n == 1 else thetas.shape[-2:]))
-    for kind, index, pairs in reversed(ops):
-        if kind == "cnot":  # pairs holds the inverse permutation
-            state = [state[i] for i in pairs]
-            continue
-        if index is not None:
-            g = None
-            for i, j in pairs:
-                p0, p1 = _pauli_apply(kind, state[i][0], state[j][0])
-                t = np.conj(state[i][1]) * p0 + np.conj(state[j][1]) * p1
-                g = t if g is None else g + t
-            dtheta[index] += g.imag
-            coeffs = _gate_coeffs(kind, np.negative(thetas[index]))
-        else:
-            if kind not in encode:
-                encode[kind] = _gate_coeffs(kind, np.negative(xs))
-            coeffs = encode[kind]
-        for i, j in pairs:
-            state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
+    tail = thetas.shape[thetas.ndim - 1 - (n > 1):]
+    batch = np.broadcast_shapes(xs.shape, thetas.shape[1:thetas.ndim - len(tail)])
+    step = max(1, _BLOCK // (math.prod(batch[1:]) or 1))
+    if not batch or batch[0] <= step:
+        return _sweeps(xs, thetas, n, entangle, template)
+    cut_x = xs.ndim == len(batch) and xs.shape[0] > 1
+    cut_t = thetas.ndim - 1 - len(tail) == len(batch) and thetas.shape[1] > 1
+    f, dtheta = np.empty(batch), np.empty(thetas.shape[:1] + batch + tail)
+    for a in range(0, batch[0], step):
+        f[a:a + step], dtheta[:, a:a + step] = _sweeps(
+            xs[a:a + step] if cut_x else xs, thetas[:, a:a + step] if cut_t else thetas,
+            n, entangle, template)
     return f, dtheta
+
+
+def _sweeps(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
+            template: GateTemplate):
+    # _grad on one block.  The forward sweep: within a layer, amplitude i
+    # stacks psi_i over one tangent slot per trainable gate of the layer,
+    # 1 + p n + q for parameter p on qubit q.  The slots enter the layer as
+    # psi (broadcast by its first trainable gate) and run its gates as psi
+    # does, each its own gate G as -i P G, twice G's derivative; so at the
+    # layer's end each slot holds twice the derivative of the layer's output
+    batch, psi = _setup(xs, thetas, n)
+    L, P = thetas.shape[0], template.params_per_layer
+    ops = _ops(n, entangle, template, L)
+    table = _coeffs(xs, thetas, n, template, batch)
+    per = len(ops) // L
+    psi = [s[None] for s in psi]
+    tangents = []
+    for l in range(L):
+        _sweep(psi, ops[l * per:(l + 1) * per], table, 2)
+        tangents.append([s[1:] for s in psi])
+        psi = [s[:1] for s in psi]
+    psi = [s[0] for s in psi]
+    f = _z0(psi)
+
+    # the reverse sweep, on the cotangent lam alone from Z_0 psi_N: at each
+    # layer's end d<Z>/dtheta = Re <lam|slot> for all its angles at once,
+    # and undoing the layer's gates takes lam to the previous layer's end
+    half = len(psi) // 2
+    lam = [s if i < half else -s for i, s in enumerate(psi)]
+    g = np.empty((L, n * P) + batch)
+    for l in range(L - 1, -1, -1):
+        acc = np.conj(lam[0]) * tangents[l][0]
+        for a, t in zip(lam[1:], tangents[l][1:]):
+            acc += np.conj(a) * t
+        g[l] = acc.real
+        if l:
+            _sweep(lam, reversed(ops[l * per:(l + 1) * per]), table, 1)
+    dtheta = np.moveaxis(g.reshape((L, P, n) + batch), (1, 2), (-1, -2))
+    return f, dtheta if n > 1 else dtheta[..., 0, :]
 
 
 # --- compiler ---------------------------------------------------------------
@@ -313,9 +371,9 @@ def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
     Returns (K, c, J): the degree K, the coefficients c (E, 2K+1) over the
     basis [1, cos kx (k = 1..K), sin kx (k = 1..K)] and their Jacobian
     J = dc/dthetas, shaped thetas.shape + (2K+1,).  All edges run in one
-    adjoint sweep over the 2K+1 nodes; the DFT is then one stacked product
-    of the same shape per edge, so an edge's c and J do not depend on which
-    edges share the call.
+    forward and one reverse sweep over the 2K+1 nodes (see ``_grad``); the
+    DFT is then one stacked product of the same shape per edge, so an
+    edge's c and J do not depend on which edges share the call.
     """
     K = sum(1 for _, s in template.gates if s == "input") * n * thetas.shape[0]
     N = 2 * K + 1

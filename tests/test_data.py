@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from quirk.data import (CSVFormatError, DEMO_EQUATIONS, EQUATIONS,
+from quirk.data import (CSVFormatError, DEMO_EQUATIONS, EQUATIONS, Dataset,
                         FEYNMAN_EQUATIONS, generate,
                         generate_univariate, load_csv, read_csv_rows,
                         resolve_univariate, save_csv, target_scale,
@@ -123,6 +123,35 @@ class TestSplits:
         Xtr, ytr = split.part("train")
         assert Xtr.shape == (28, 2)
         npt.assert_allclose(ytr, Xtr[:, 0] ** 2 - Xtr[:, 1] ** 2, rtol=1e-14)
+
+    _COVER = "split indices must be disjoint and cover every row"
+    _KEYS = "splits must have keys"
+
+    @pytest.mark.parametrize("splits,error", [
+        ({"train": [0, 1, 2], "val": [3], "test": [4, 5]}, None),
+        ({"train": np.array([5, 4, 3]), "val": np.array([2]), "test": [1, 0]}, None),
+        ({"train": [0, 1, 2, 3, 4, 5], "val": [], "test": []}, None),
+        ({"train": [0, 1, 1], "val": [3], "test": [4, 5]}, _COVER),  # duplicate
+        ({"train": [0, 1], "val": [3], "test": [4, 5]}, _COVER),  # missing
+        ({"train": [0, 1, 2, 3], "val": [3], "test": [4, 5]}, _COVER),  # one too many
+        ({"train": [0, 1, 6], "val": [3], "test": [4, 5]}, _COVER),  # out of range
+        ({"train": [0, 1, -1], "val": [3], "test": [4, 5]}, _COVER),  # negative
+        # float indices are cast to int (truncated) before the check
+        ({"train": [0.0, 1.0, 2.0], "val": [3.0], "test": [4.0, 5.0]}, None),
+        ({"train": [0.5, 1.9, 2.2], "val": [3.7], "test": [4.0, 5.5]}, None),
+        ({"train": [0.5, 0.9, 2.2], "val": [3.7], "test": [4.0, 5.5]}, _COVER),
+        ({"train": [[0, 1, 2]], "val": [[3, 4, 5]], "test": np.zeros((0, 3), int)}, _COVER),
+        ({"train": [0, 1, 2], "valid": [3], "test": [4, 5]}, _KEYS),
+        ({"train": [0, 1, 2], "val": [3], "test": [4, 5], "extra": []}, _KEYS),
+    ])
+    def test_split_indices_checked(self, splits, error):
+        # which index sets a Dataset accepts, and the message of each refusal
+        X, y = np.zeros((6, 1)), np.zeros(6)
+        if error is None:
+            assert Dataset(X, y, splits=splits).n == 6
+        else:
+            with pytest.raises(ValueError, match=error):
+                Dataset(X, y, splits=splits)
 
 
 class TestUnivariate:

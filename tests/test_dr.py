@@ -187,6 +187,20 @@ class TestGradient:
         dtheta_growth = 10 * xs.size * p.thetas.shape[-1] * 8
         assert peak[12] - peak[2] < 2 * dtheta_growth
 
+    @pytest.mark.parametrize("n,x_shape,mid", [(1, (40,), ()), (2, (9, 1), (7,)),
+                                              (1, (1, 5), (6, 5)), (3, (), (4, 3))])
+    def test_blocks_change_no_sample(self, n, x_shape, mid, monkeypatch):
+        # the batch runs in blocks of rows (to bound the tangents kept per
+        # layer); any block size gives every sample the same bits
+        rng = np.random.default_rng(n)
+        xs = rng.uniform(0, np.pi, x_shape)
+        P = DEFAULT_TEMPLATE.params_per_layer
+        thetas = rng.uniform(-np.pi, np.pi, (3,) + mid + ((P,) if n == 1 else (n, P)))
+        f, dth = drmod._grad(xs, thetas, n, True, DEFAULT_TEMPLATE)
+        monkeypatch.setattr(drmod, "_BLOCK", 4)
+        f4, dth4 = drmod._grad(xs, thetas, n, True, DEFAULT_TEMPLATE)
+        assert f4.tobytes() == f.tobytes() and dth4.tobytes() == dth.tobytes()
+
 
 class TestMultiQubit:
     def test_unentangled_equals_single_qubit(self):
@@ -291,6 +305,24 @@ def test_series_rows_do_not_depend_on_their_company(n, entangle, template, L, E,
         assert K1 == K
         assert c1.tobytes() == c[keep].tobytes()
         assert J1.tobytes() == J[:, keep].tobytes()
+
+
+@pytest.mark.parametrize("template", ["default", "su2"])
+@pytest.mark.parametrize("n,entangle", [(1, False), (1, True), (2, False), (2, True),
+                                        (3, False), (3, True)])
+def test_series_coefficients_are_the_dft_of_the_forward_values(n, entangle, template):
+    # c carries the plain forward sweep's bits at the 2K+1 nodes, through
+    # the DFT product _series makes per edge: the gradient sweeps and their
+    # tangents may round J differently, never c
+    tpl = _TEMPLATES[template]
+    P = tpl.params_per_layer
+    thetas = np.random.default_rng(10 * n + entangle).uniform(
+        -np.pi, np.pi, (2, 5) + ((P,) if n == 1 else (n, P)))
+    K, c, _ = drmod._series(thetas, n, entangle, tpl)
+    nodes = (2.0 * np.pi / (2 * K + 1)) * np.arange(2 * K + 1)
+    f = drmod._forward(nodes[:, None], thetas, n, entangle, tpl)
+    want = np.matmul(np.ascontiguousarray(f.T)[:, None, :], drmod._dft(K).T)[:, 0]
+    assert c.tobytes() == want.tobytes()
 
 
 class TestClamping:

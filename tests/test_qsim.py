@@ -28,17 +28,19 @@ import oracles
 
 def gate_matrix(kind, a):
     """The kernel's 2x2 gate: column k is its action on basis state k."""
-    n0, n1 = _gate_apply(kind, _gate_coeffs(kind, a),
+    n0, n1 = _gate_apply(kind, _gate_coeffs(kind, a)[0],
                          np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
     return np.stack([n0, n1])
 
 
 def apply_gate(state, kind, a, q):
     """Run the kernel's op for ``kind`` on qubit q of a dense state
-    (..., 2^n), with the angle fed in as the input."""
+    (..., 2^n), with the angle fed in as the input (an encoding gate, whose
+    coefficients the kernel's table keeps under its kind)."""
     n = int(np.log2(state.shape[-1]))
     op = _ops(n, False, GateTemplate(((kind, "input"),)), 1)[q]
-    out = _sweep(list(np.moveaxis(state, -1, 0)), [op], np.float64(a), None)
+    table = {kind: _gate_coeffs(kind, np.float64(a))}
+    out = _sweep(list(np.moveaxis(state, -1, 0)), [op], table)
     return np.stack(out, axis=-1)
 
 
@@ -47,7 +49,7 @@ def apply_ring(state):
     n = int(np.log2(state.shape[-1]))
     op = _ops(n, True, GateTemplate(), 1)[-1]
     assert op[0] == "cnot"
-    return np.array(_sweep(list(state), [op], None, None))
+    return np.array(_sweep(list(state), [op], {}))
 
 
 def zero_state(n):

@@ -7,6 +7,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "benchmarks" / "run.py"
 
@@ -86,6 +88,24 @@ def test_network_builds_no_scalar_trig():
     assert "tan" in calls
     trig = {name: line for name, line in calls.items() if name in ("cos", "sin")}
     assert not trig, f"network.py calls np.cos / np.sin: {trig}"
+
+
+def test_compile_takes_gate_trig_once_per_template_entry(monkeypatch):
+    """dr._series takes every gate's coefficients in one vectorised call
+    per template entry (encoding gates of one kind share theirs), however
+    many layers, qubits and edges it compiles: trig per op, once per layer
+    and qubit, must not come back."""
+    from quirk import dr
+    calls, real = [], dr._gate_coeffs
+    monkeypatch.setattr(dr, "_gate_coeffs", lambda kind, a: calls.append(kind) or real(kind, a))
+    for template in (dr.DEFAULT_TEMPLATE, dr.SU2_TEMPLATE):
+        P = template.params_per_layer
+        entries = len({kind if s == "input" else s for kind, s in template.gates})
+        for n, L in ((1, 1), (1, 4), (3, 2)):
+            calls.clear()
+            thetas = np.random.default_rng(L).uniform(-3, 3, (L, 6) + ((P,) if n == 1 else (n, P)))
+            dr._series(thetas, n, n > 1, template)
+            assert len(calls) == entries, (template, n, L, calls)
 
 
 def test_no_unused_imports():
