@@ -8,14 +8,11 @@ trainable rotations fed by angles::
 The readout is <Z> of the final state, a smooth function of x in [-1, 1].
 An n-qubit edge runs every gate of a layer on each qubit (with its own
 angles), optionally followed by a ring of CNOTs, and reads <Z> on qubit 0.
-Gradients with respect to every angle are exact and cost O(L) per sample.
-Within each circuit layer the forward sweep carries one tangent per
-trainable angle of that layer, stacked on the state's amplitudes; a
-reverse sweep then undoes the gates on the cotangent alone and reads all
-of a layer's gradients in one overlap with its tangents.  Every gate's
-coefficients are taken once per call, vectorised over layers, edges and
-qubits.  The parameter-shift rule exists in the test suite as an
-independent oracle, not here.
+Gradients with respect to every angle are exact and cost O(L) per sample:
+the forward sweep carries, within each circuit layer, one tangent per
+trainable angle, and a reverse sweep of the cotangent alone reads each
+layer's gradients in one overlap with them.  The parameter-shift rule
+exists in the test suite as an independent oracle, not here.
 
 Internally everything is vectorized: the kernel accepts an input array of
 any shape together with a stacked theta array ``(L, ..., P)`` (one qubit)
@@ -34,7 +31,6 @@ statevector kernel serves ``dr_forward_batch`` and the compile step.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -152,25 +148,27 @@ def _clamp_domain(xs: np.ndarray, clamp: bool) -> np.ndarray:
 # An n-qubit state is a list of 2^n complex amplitude arrays (qubit 0 is the
 # most significant bit of the list index), each broadcast over the batch, so
 # a gate is a handful of broadcast multiplies per amplitude pair and a CNOT
-# only reorders the list.  A call takes every gate's coefficients from one
-# table (``_coeffs``), so no op evaluates trig itself.
+# only reorders the list.  Gates read their coefficients from one table per
+# call (``_coeffs``).
 
 
 def _gate_coeffs(kind: str, a):
-    # complex (u, v) of rotations G by the angles a, as _gate_apply reads
-    # them (rx's -i sin folded into v), of their inverses, and of G by a +
-    # pi, which is -i P G for the kind's generator P: twice G's derivative
+    # (u, v) of rotations by the angles a, rx's -i sin folded into v; all
+    # complex, as numpy casts a real factor of a complex product per call
     if kind == "rz":
-        u = np.exp(-0.5j * np.asarray(a))
-        v = np.conj(u)
-        return (u, v), (v, u), (-1j * u, 1j * v)
+        p = np.exp(-0.5j * np.asarray(a))
+        return p, np.conj(p)
     half = a / 2.0
-    u = np.cos(half).astype(np.complex128)
-    if kind == "rx":
-        v = -1j * np.sin(half)
-        return (u, v), (u, -v), (-1j * v, -1j * u)
     v = np.sin(half).astype(np.complex128)
-    return (u, v), (u, -v), (-v, u)
+    return np.cos(half).astype(np.complex128), -1j * v if kind == "rx" else v
+
+
+def _derived(kind: str, u, v):
+    # (u, v) of the transposed rotations (G^T = G^-1 for ry, G for rx, rz)
+    # and of rotations by a + pi: -i P G, P the generator, twice dG/da
+    if kind == "rz":
+        return (u, v), (-1j * u, 1j * v)
+    return ((u, v), (v.imag, -1j * u)) if kind == "rx" else ((u, -v), (-v, u))
 
 
 def _gate_apply(kind: str, coeffs, s0, s1):
@@ -209,31 +207,31 @@ def _ops(n: int, entangle: bool, template: GateTemplate, L: int) -> tuple:
 
 
 def _coeffs(xs: np.ndarray, thetas: np.ndarray, n: int, template: GateTemplate,
-            batch: tuple) -> dict:
-    """Every gate's coefficients for one call, each template entry's trig
-    taken once over all layers, edges and qubits.  An encoding kind maps to
-    the (u, v) of its gates, of their inverses and of its gates again; a
-    parameter p to those of its gates and their inverses, (L, n) + ones +
-    thetas' middle axes so that they broadcast against ``batch``, and of
-    its gates on ``_sweeps``' tangent slots, (L, n, slots) + ones + middle
-    axes, where slot 1 + p n + q of p's gate on qubit q is -i P G."""
-    P = template.params_per_layer
+            batch: tuple, grad: bool) -> dict:
+    """Every gate's (u, v), one ``_gate_coeffs`` call per template entry
+    over all layers, qubits and edges; with ``grad`` also its transposes'
+    and its gates' on ``_sweeps``' tangent slots."""
     nd = thetas.ndim - (n > 1)
     angles = (thetas if n > 1 else thetas[..., None, :]).transpose(
         (nd, 0, nd - 1) + tuple(range(1, nd - 1)))
     angles = angles.reshape(angles.shape[:3] + (1,) * (len(batch) + 2 - nd) + angles.shape[3:])
-    own = np.arange(1 + n * P) == 1 + n * np.arange(P)[:, None, None] + np.arange(n)[:, None]
-    own = own.reshape(own.shape + (1,) * len(batch))
+    slots = np.arange(1 + n * template.params_per_layer)
     table = {}
     for kind, source in template.gates:
-        if source == "input":
-            if kind not in table:
-                fwd, inv, _ = _gate_coeffs(kind, xs)
-                table[kind] = fwd, inv, fwd
+        key = kind if source == "input" else source
+        if key in table:
             continue
-        fwd, inv, der = _gate_coeffs(kind, angles[source])
-        table[source] = fwd, inv, tuple(np.where(own[source], d[:, :, None], c[:, :, None])
-                                        for c, d in zip(fwd, der))
+        fwd = _gate_coeffs(kind, xs if source == "input" else angles[source])
+        if not grad:
+            table[key] = (fwd,)
+        elif source == "input":
+            table[key] = fwd, _derived(kind, *fwd)[0], fwd
+        else:  # slot 1 + p n + q runs -i P G at p's gate on qubit q
+            tr, der = _derived(kind, *fwd)
+            own = (slots == 1 + n * source + np.arange(n)[:, None]).reshape(
+                (n, -1) + (1,) * len(batch))
+            table[key] = fwd, tr, tuple(np.where(own, d[:, :, None], c[:, :, None])
+                                         for c, d in zip(fwd, der))
     return table
 
 
@@ -246,9 +244,8 @@ def _setup(xs: np.ndarray, thetas: np.ndarray, n: int):
 
 
 def _sweep(state: list, ops, table: dict, which: int = 0) -> list:
-    """Run ``ops`` on ``state`` in place with coefficients from ``table``
-    (see ``_coeffs``): the ops themselves, their inverses (``which`` = 1)
-    or the ops on a stack of tangent slots (2)."""
+    """Run ``ops`` on ``state`` in place: the ops (``which`` = 0), their
+    transposes (1) or the ops on tangent slots (2)."""
     for kind, index, pairs in ops:
         if kind == "cnot":  # index holds perm, pairs its inverse
             state[:] = [state[i] for i in (pairs if which == 1 else index)]
@@ -276,11 +273,11 @@ def _forward(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
     (L, ..., P) for n = 1 or (L, ..., n, P)."""
     batch, state = _setup(xs, thetas, n)
     ops = _ops(n, entangle, template, thetas.shape[0])
-    return _z0(_sweep(state, ops, _coeffs(xs, thetas, n, template, batch)))
+    return _z0(_sweep(state, ops, _coeffs(xs, thetas, n, template, batch, False)))
 
 
-# samples per block of _grad's batch: a block keeps its layers' tangents
-# until its reverse sweep, so a deep circuit on a big batch stores no more
+# samples per block of _grad's batch: a block keeps each circuit layer's
+# tangents until the reverse sweep has read them
 _BLOCK = 2048
 
 
@@ -290,12 +287,11 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
 
     Returns (f, dtheta) with f shaped like the broadcast batch and dtheta
     shaped (L,) + batch + thetas' trailing (P,) or (n, P), each entry at
-    its (layer, [qubit,] param-index) slot.  The batch runs in blocks of
-    rows of its first axis, about ``_BLOCK`` samples each (see ``_sweeps``).
+    its (layer, [qubit,] param-index) slot, in blocks of ``_BLOCK`` samples.
     """
     tail = thetas.shape[thetas.ndim - 1 - (n > 1):]
     batch = np.broadcast_shapes(xs.shape, thetas.shape[1:thetas.ndim - len(tail)])
-    step = max(1, _BLOCK // (math.prod(batch[1:]) or 1))
+    step = max(1, _BLOCK // max(1, int(np.prod(batch[1:]))))
     if not batch or batch[0] <= step:
         return _sweeps(xs, thetas, n, entangle, template)
     cut_x = xs.ndim == len(batch) and xs.shape[0] > 1
@@ -310,16 +306,14 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
 
 def _sweeps(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
             template: GateTemplate):
-    # _grad on one block.  The forward sweep: within a layer, amplitude i
-    # stacks psi_i over one tangent slot per trainable gate of the layer,
-    # 1 + p n + q for parameter p on qubit q.  The slots enter the layer as
-    # psi (broadcast by its first trainable gate) and run its gates as psi
-    # does, each its own gate G as -i P G, twice G's derivative; so at the
-    # layer's end each slot holds twice the derivative of the layer's output
+    # _grad on one block.  Within a layer amplitude i stacks psi_i over one
+    # slot per trainable gate, 1 + p n + q for parameter p on qubit q; each
+    # slot runs the layer as psi does but its own gate G as -i P G, so it
+    # ends holding twice the derivative of the layer's output
     batch, psi = _setup(xs, thetas, n)
     L, P = thetas.shape[0], template.params_per_layer
     ops = _ops(n, entangle, template, L)
-    table = _coeffs(xs, thetas, n, template, batch)
+    table = _coeffs(xs, thetas, n, template, batch, True)
     per = len(ops) // L
     psi = [s[None] for s in psi]
     tangents = []
@@ -330,19 +324,18 @@ def _sweeps(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
     psi = [s[0] for s in psi]
     f = _z0(psi)
 
-    # the reverse sweep, on the cotangent lam alone from Z_0 psi_N: at each
-    # layer's end d<Z>/dtheta = Re <lam|slot> for all its angles at once,
-    # and undoing the layer's gates takes lam to the previous layer's end
+    # the reverse sweep carries mu = conj(lam), lam = Z_0 psi_N: at a layer's
+    # end d<Z>/dtheta = Re <lam|slot>, and G^T mu = conj(G^dagger lam)
     half = len(psi) // 2
-    lam = [s if i < half else -s for i, s in enumerate(psi)]
+    mu = [np.conj(s) if i < half else -np.conj(s) for i, s in enumerate(psi)]
     g = np.empty((L, n * P) + batch)
     for l in range(L - 1, -1, -1):
-        acc = np.conj(lam[0]) * tangents[l][0]
-        for a, t in zip(lam[1:], tangents[l][1:]):
-            acc += np.conj(a) * t
+        acc = mu[0] * tangents[l][0]
+        for a, t in zip(mu[1:], tangents[l][1:]):
+            acc += a * t
         g[l] = acc.real
         if l:
-            _sweep(lam, reversed(ops[l * per:(l + 1) * per]), table, 1)
+            _sweep(mu, reversed(ops[l * per:(l + 1) * per]), table, 1)
     dtheta = np.moveaxis(g.reshape((L, P, n) + batch), (1, 2), (-1, -2))
     return f, dtheta if n > 1 else dtheta[..., 0, :]
 

@@ -318,9 +318,7 @@ def _compiled(layers: tuple, template: GateTemplate, thetas, active) -> tuple:
 def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple):
     # one dr._series call per group of layers sharing their wiring, on
     # their live edges in (layer, input, unit) order; each layer's rows
-    # are then its block, reshaped (and copied, so that every product reads
-    # contiguous operands) when every edge in it is live, else scattered
-    # into it with dead edges left 0
+    # are then scattered into its block, where dead edges stay 0
     P = template.params_per_layer
     for k, a in enumerate(angles):
         if not np.all(np.isfinite(np.frombuffer(a))):
@@ -339,14 +337,10 @@ def _compile(layers: tuple, template: GateTemplate, angles: tuple, masks: tuple)
         for k in ks:
             m, ins, outs, at, live, div = plans[k]
             stop = start + np.count_nonzero(m)
-            if live.all():  # the block's rows in order, copied contiguous
-                cb = c[start:stop].reshape(live.shape + c.shape[1:]).copy()
-                Jb = J[:, start:stop].reshape(J.shape[:1] + live.shape + J.shape[2:]).copy()
-            else:
-                cb = np.zeros(live.shape + c.shape[1:])
-                cb[live] = c[start:stop]
-                Jb = np.zeros(J.shape[:1] + live.shape + J.shape[2:])
-                Jb[:, live] = J[:, start:stop]
+            cb = np.zeros(live.shape + c.shape[1:])
+            cb[live] = c[start:stop]
+            Jb = np.zeros(J.shape[:1] + live.shape + J.shape[2:])
+            Jb[:, live] = J[:, start:stop]
             start = stop
             cb.flags.writeable = Jb.flags.writeable = False
             blocks[k] = _Block(K, ins, outs, at, live, cb, Jb, div)

@@ -172,8 +172,9 @@ class TestGradient:
             assert one_dx == pytest.approx(dx[idx], abs=1e-14)
 
     def test_memory_does_not_grow_with_stored_states(self):
-        # the reverse sweep undoes each gate instead of keeping the state
-        # after it, so deeper circuits add only their dtheta rows
+        # no state is kept per gate, and each layer's tangents are kept for
+        # one block of about _BLOCK samples only, so they grow with L times
+        # _BLOCK, not with the batch: deeper circuits add mostly dtheta rows
         xs = np.linspace(0.0, np.pi, 20000)
         peak = {}
         for L in (2, 12):

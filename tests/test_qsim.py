@@ -28,7 +28,7 @@ import oracles
 
 def gate_matrix(kind, a):
     """The kernel's 2x2 gate: column k is its action on basis state k."""
-    n0, n1 = _gate_apply(kind, _gate_coeffs(kind, a)[0],
+    n0, n1 = _gate_apply(kind, _gate_coeffs(kind, a),
                          np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
     return np.stack([n0, n1])
 
@@ -39,7 +39,7 @@ def apply_gate(state, kind, a, q):
     coefficients the kernel's table keeps under its kind)."""
     n = int(np.log2(state.shape[-1]))
     op = _ops(n, False, GateTemplate(((kind, "input"),)), 1)[q]
-    table = {kind: _gate_coeffs(kind, np.float64(a))}
+    table = {kind: (_gate_coeffs(kind, np.float64(a)),)}
     out = _sweep(list(np.moveaxis(state, -1, 0)), [op], table)
     return np.stack(out, axis=-1)
 
