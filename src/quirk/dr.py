@@ -330,8 +330,11 @@ def _sweeps(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
     mu = [np.conj(s) if i < half else -np.conj(s) for i, s in enumerate(psi)]
     g = np.empty((L, n * P) + batch)
     for l in range(L - 1, -1, -1):
-        acc = mu[0] * tangents[l][0]
-        for a, t in zip(mu[1:], tangents[l][1:]):
+        # released once read, so that the sweep's temporaries reuse their
+        # memory instead of growing the heap, which glibc then trims
+        slots = tangents.pop()
+        acc = mu[0] * slots[0]
+        for a, t in zip(mu[1:], slots[1:]):
             acc += a * t
         g[l] = acc.real
         if l:
