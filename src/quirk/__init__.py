@@ -5,6 +5,25 @@ univariate activations are single-qubit data re-uploading circuits,
 plus pruning, interpretability fits, a B-spline baseline, and a CLI.
 """
 
+import ctypes as _ctypes
+import sys as _sys
+
+# glibc moves its mmap and heap-trim thresholds with the allocation history
+# (freeing a big mapped block raises both), so whether a batch's numpy
+# temporaries reuse the heap, or fault in pages it just trimmed, depended on
+# what the process ran before: scoring `wide`'s 2000 rows took 1.4 ms, or
+# 2.5 ms with 2300 page faults, from one run to the next.  Pin both at the
+# caps the dynamic rule moves toward: blocks under 32 MiB come from the heap,
+# which keeps up to 64 MiB free at its top.
+if _sys.platform.startswith("linux"):
+    try:
+        _mallopt = _ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):  # no libc mallopt to call
+        pass
+    else:
+        _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
 from .dr import (
     DEFAULT_TEMPLATE,
     SU2_TEMPLATE,

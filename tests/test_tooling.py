@@ -5,9 +5,13 @@ compiled series.  No module, test or demo imports a name it does not use."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN = ROOT / "benchmarks" / "run.py"
@@ -106,6 +110,33 @@ def test_compile_takes_gate_trig_once_per_template_entry(monkeypatch):
             thetas = np.random.default_rng(L).uniform(-3, 3, (L, 6) + ((P,) if n == 1 else (n, P)))
             dr._series(thetas, n, n > 1, template)
             assert len(calls) == entries, (template, n, L, calls)
+
+
+# in a fresh process: the third of three rounds of 48 MiB of big arrays,
+# made and freed, must reuse the heap of the first rather than fault pages in
+_HEAP_ROUNDS = """
+import resource
+import numpy as np
+import quirk
+def round_():
+    arrays = [np.ones(3 << 17) for _ in range(16)]  # 16 blocks of 3 MiB
+    del arrays
+round_()
+round_()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+round_()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's mallopt")
+def test_big_temporaries_reuse_the_heap():
+    """Importing quirk pins glibc's mmap and trim thresholds, so a batch's
+    big temporaries cost the same whatever the process ran before.  With
+    glibc's moving thresholds the third round faults in all 12288 pages."""
+    out = subprocess.run([sys.executable, "-c", _HEAP_ROUNDS], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert int(out.stdout) < 100, out.stdout
 
 
 def test_no_unused_imports():
