@@ -8,13 +8,13 @@ plus pruning, interpretability fits, a B-spline baseline, and a CLI.
 import ctypes as _ctypes
 import sys as _sys
 
-# glibc moves its mmap and heap-trim thresholds with the allocation history
-# (freeing a big mapped block raises both), so whether a batch's numpy
-# temporaries reuse the heap, or fault in pages it just trimmed, depended on
-# what the process ran before: scoring `wide`'s 2000 rows took 1.4 ms, or
-# 2.5 ms with 2300 page faults, from one run to the next.  Pin both at the
-# caps the dynamic rule moves toward: blocks under 32 MiB come from the heap,
-# which keeps up to 64 MiB free at its top.
+# Left to itself, glibc raises its mmap and trim thresholds as big mapped
+# blocks are freed, so whether a batch's numpy temporaries reuse the heap or
+# fault in pages it has just trimmed depends on what the process ran before
+# (a 2000-row forward of a [6, 8, 4, 1] network on a 2-vCPU host: 1.4 ms, or
+# 2.5 ms with 2300 page faults).  Pin both at the caps that rule moves
+# toward: blocks under 32 MiB come from the heap, which keeps up to 64 MiB
+# free.
 if _sys.platform.startswith("linux"):
     try:
         _mallopt = _ctypes.CDLL(None).mallopt
