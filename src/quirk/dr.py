@@ -14,9 +14,9 @@ trainable angle, and a reverse sweep of the cotangent alone reads each
 layer's gradients in one overlap with them.  The parameter-shift rule
 exists in the test suite as an independent oracle, not here.
 
-Internally everything is vectorized: the kernel accepts an input array of
-any shape together with a stacked theta array ``(L, ..., P)`` (one qubit)
-or ``(L, ..., n, P)`` whose middle axes broadcast against the input.
+Internally everything is vectorized over one batch layout: inputs
+``(N, 1)`` against a stack of E edges, thetas ``(L, E, P)`` (one qubit)
+or ``(L, E, n, P)``, give values ``(N, E)``.
 
 The kernel is also a compiler.  With K encoding gates in all, the readout
 is exactly a real trigonometric polynomial of degree K in x, so ``_series``
@@ -31,11 +31,12 @@ statevector kernel serves ``dr_forward_batch`` and the compile step.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from .data import check_count
 
 _GATE_KINDS = ("rx", "ry", "rz")
 
@@ -103,8 +104,7 @@ class DRParams:
 
     def __post_init__(self):
         self.thetas = np.asarray(self.thetas, dtype=np.float64)
-        if self.num_qubits < 1:
-            raise ValueError(f"num_qubits must be >= 1, got {self.num_qubits}")
+        check_count("num_qubits", self.num_qubits, 1)
         _check_capacity(self.num_qubits)
         want = 2 if self.num_qubits == 1 else 3
         if self.thetas.ndim != want:
@@ -126,22 +126,6 @@ class DRParams:
             )
         if not np.all(np.isfinite(self.thetas)):
             raise ValueError("all angles must be finite")
-
-
-def _clamp_domain(xs: np.ndarray, clamp: bool) -> np.ndarray:
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("inputs must be finite")
-    if not clamp:
-        return xs
-    out_of_domain = (xs < 0.0) | (xs > np.pi)
-    if np.any(out_of_domain):
-        warnings.warn(
-            f"{int(np.count_nonzero(out_of_domain))} input(s) outside [0, pi] were clamped",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        xs = np.clip(xs, 0.0, np.pi)
-    return xs
 
 
 # --- kernel -----------------------------------------------------------------
@@ -207,14 +191,12 @@ def _ops(n: int, entangle: bool, template: GateTemplate, L: int) -> tuple:
 
 
 def _coeffs(xs: np.ndarray, thetas: np.ndarray, n: int, template: GateTemplate,
-            batch: tuple, grad: bool) -> dict:
+            grad: bool) -> dict:
     """Every gate's (u, v), one ``_gate_coeffs`` call per template entry
     over all layers, qubits and edges; with ``grad`` also its transposes'
     and its gates' on ``_sweeps``' tangent slots."""
-    nd = thetas.ndim - (n > 1)
-    angles = (thetas if n > 1 else thetas[..., None, :]).transpose(
-        (nd, 0, nd - 1) + tuple(range(1, nd - 1)))
-    angles = angles.reshape(angles.shape[:3] + (1,) * (len(batch) + 2 - nd) + angles.shape[3:])
+    # angles (P, L, n, 1, E): gate (l, q) has one row against the batch (N, E)
+    angles = (thetas if n > 1 else thetas[:, :, None]).transpose(3, 0, 2, 1)[:, :, :, None]
     slots = np.arange(1 + n * template.params_per_layer)
     table = {}
     for kind, source in template.gates:
@@ -228,16 +210,15 @@ def _coeffs(xs: np.ndarray, thetas: np.ndarray, n: int, template: GateTemplate,
             table[key] = fwd, _derived(kind, *fwd)[0], fwd
         else:  # slot 1 + p n + q runs -i P G at p's gate on qubit q
             tr, der = _derived(kind, *fwd)
-            own = (slots == 1 + n * source + np.arange(n)[:, None]).reshape(
-                (n, -1) + (1,) * len(batch))
+            own = (slots == 1 + n * source + np.arange(n)[:, None]).reshape(n, -1, 1, 1)
             table[key] = fwd, tr, tuple(np.where(own, d[:, :, None], c[:, :, None])
                                          for c, d in zip(fwd, der))
     return table
 
 
 def _setup(xs: np.ndarray, thetas: np.ndarray, n: int):
-    # returns (batch shape, |0...0>); thetas end in (P,) or (n, P)
-    batch = np.broadcast_shapes(xs.shape, thetas.shape[1:-1] if n == 1 else thetas.shape[1:-2])
+    # returns (batch shape, |0...0>): the batch is (N, E)
+    batch = (len(xs), thetas.shape[1])
     state = [np.ones(batch, dtype=np.complex128)]
     state += [np.zeros(batch, dtype=np.complex128) for _ in range(2**n - 1)]
     return batch, state
@@ -269,11 +250,11 @@ def _z0(state: list) -> np.ndarray:
 
 def _forward(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
              template: GateTemplate) -> np.ndarray:
-    """<Z> for inputs ``xs`` (any shape) against stacked ``thetas``
-    (L, ..., P) for n = 1 or (L, ..., n, P)."""
-    batch, state = _setup(xs, thetas, n)
+    """<Z> (N, E) for inputs ``xs`` (N, 1) against an edge stack
+    ``thetas`` (L, E, P) for n = 1 or (L, E, n, P)."""
+    _, state = _setup(xs, thetas, n)
     ops = _ops(n, entangle, template, thetas.shape[0])
-    return _z0(_sweep(state, ops, _coeffs(xs, thetas, n, template, batch, False)))
+    return _z0(_sweep(state, ops, _coeffs(xs, thetas, n, template, False)))
 
 
 # samples per block of _grad's batch: a block keeps each circuit layer's
@@ -283,24 +264,18 @@ _BLOCK = 2048
 
 def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
           template: GateTemplate):
-    """Forward value plus exact per-sample angle gradients.
-
-    Returns (f, dtheta) with f shaped like the broadcast batch and dtheta
-    shaped (L,) + batch + thetas' trailing (P,) or (n, P), each entry at
-    its (layer, [qubit,] param-index) slot, in blocks of ``_BLOCK`` samples.
-    """
-    tail = thetas.shape[thetas.ndim - 1 - (n > 1):]
-    batch = np.broadcast_shapes(xs.shape, thetas.shape[1:thetas.ndim - len(tail)])
-    step = max(1, _BLOCK // max(1, int(np.prod(batch[1:]))))
-    if not batch or batch[0] <= step:
+    """Forward value plus exact per-sample angle gradients in the layout of
+    ``_forward``: (f, dtheta) with f (N, E) and dtheta (L, N) + thetas.shape[1:],
+    each entry at its (layer, input, edge, [qubit,] param-index) slot,
+    computed in blocks of about ``_BLOCK`` samples along the inputs."""
+    N, E = len(xs), thetas.shape[1]
+    step = max(1, _BLOCK // max(1, E))  # an all-pruned wiring group compiles E = 0
+    if N <= step:
         return _sweeps(xs, thetas, n, entangle, template)
-    cut_x = xs.ndim == len(batch) and xs.shape[0] > 1
-    cut_t = thetas.ndim - 1 - len(tail) == len(batch) and thetas.shape[1] > 1
-    f, dtheta = np.empty(batch), np.empty(thetas.shape[:1] + batch + tail)
-    for a in range(0, batch[0], step):
-        f[a:a + step], dtheta[:, a:a + step] = _sweeps(
-            xs[a:a + step] if cut_x else xs, thetas[:, a:a + step] if cut_t else thetas,
-            n, entangle, template)
+    f, dtheta = np.empty((N, E)), np.empty(thetas.shape[:1] + (N,) + thetas.shape[1:])
+    for a in range(0, N, step):
+        f[a:a + step], dtheta[:, a:a + step] = _sweeps(xs[a:a + step], thetas, n,
+                                                       entangle, template)
     return f, dtheta
 
 
@@ -313,7 +288,7 @@ def _sweeps(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
     batch, psi = _setup(xs, thetas, n)
     L, P = thetas.shape[0], template.params_per_layer
     ops = _ops(n, entangle, template, L)
-    table = _coeffs(xs, thetas, n, template, batch, True)
+    table = _coeffs(xs, thetas, n, template, True)
     per = len(ops) // L
     psi = [s[None] for s in psi]
     tangents = []
@@ -385,15 +360,17 @@ def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
 # --- public ops -------------------------------------------------------------
 
 
-def dr_forward_batch(xs, params: DRParams, clamp: bool = True) -> np.ndarray:
-    """<Z> readout of the DR circuit at inputs ``xs`` (radians in [0, pi],
-    any shape, 0-d included); the result has the shape of ``xs``.
+def dr_forward_batch(xs, params: DRParams) -> np.ndarray:
+    """<Z> readout of the DR circuit at finite inputs ``xs`` (radians, any
+    shape, 0-d included); the result has the shape of ``xs``.
 
-    Out-of-domain inputs are clamped (with a warning) unless ``clamp`` is
-    False, in which case the raw circuit value is returned.  That value is
-    2pi-periodic: the readout is a Fourier series with integer frequencies
-    up to K (what ``_series`` compiles), whatever the qubit count.
+    Any finite x is evaluated as it is: the readout is 2pi-periodic, a
+    Fourier series with integer frequencies up to K (what ``_series``
+    compiles), whatever the qubit count.
     """
-    xs = _clamp_domain(np.asarray(xs, dtype=np.float64), clamp)
-    return _forward(xs, params.thetas, params.num_qubits, params.entangle,
-                    params.template)
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.isfinite(xs).all():
+        raise ValueError("inputs must be finite")
+    f = _forward(xs.reshape(-1, 1), params.thetas[:, None], params.num_qubits,
+                 params.entangle, params.template)
+    return f.reshape(xs.shape)

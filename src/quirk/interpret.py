@@ -109,10 +109,10 @@ def _fit_polys(xs: np.ndarray, ys: np.ndarray, max_degree: int,
     solve per degree covers every row still short of ``r2_target``, and each
     row keeps the first degree that reaches it, else ``max_degree``."""
     xs = finite_rows(xs, "grid", single=True)
-    ys = np.ascontiguousarray(finite_rows(ys, "samples", xs.size))
     check_count("max_degree", max_degree, 0)
     if xs.size < max_degree + 1:
-        raise ValueError(f"{xs.size} points cannot fix degree {max_degree}")
+        raise ValueError(f"a grid of {xs.size} points cannot fix degree {max_degree}")
+    ys = np.ascontiguousarray(finite_rows(ys, "samples", xs.size))
     if np.ptp(xs) == 0.0:
         raise ValueError("degenerate grid: all xs identical")
     fits = [None] * len(ys)
@@ -268,21 +268,23 @@ def report(model: Model, dataset, grid_size: int = DEFAULT_GRID_SIZE,
     forward pass uses, so the fits see exactly the function the model
     serves.  The live edges of all layers are then fitted together,
     one least-squares solve per degree (see ``_fit_polys``).  ``dataset``
-    supplies the evaluation inputs (the test split when one is attached,
-    otherwise all rows)."""
+    supplies the evaluation inputs, at least one: the test split when one is
+    attached, otherwise all rows."""
     if model.input_norm is None:
         raise RuntimeError("model has no fitted input normalization")
     check_settings(grid_size, max_degree, r2_target)
+    if dataset.splits is not None:
+        X_eval, y_eval = dataset.part("test")
+    else:  # a Dataset holds at least one row
+        X_eval, y_eval = dataset.X, dataset.y
+    if not len(X_eval):
+        raise ValueError("report needs at least one row; the test split is empty")
     xs = np.linspace(0.0, np.pi, grid_size)
     fits = iter(_fit_polys(xs, edge_samples(model, xs), max_degree, r2_target))
     edges = [EdgeReport(edge_id=(k, i, u), active=bool(live),
                         fit=next(fits) if live else None)
              for k, active in enumerate(model.edge_active)
              for (i, u), live in np.ndenumerate(active)]
-    if dataset.splits is not None:
-        X_eval, y_eval = dataset.part("test")
-    else:
-        X_eval, y_eval = dataset.X, dataset.y
     rep = InterpretReport(
         shape=(model.spec.input_dim,) + tuple(l.units for l in model.spec.layers),
         input_norm=np.asarray(model.input_norm, dtype=np.float64),

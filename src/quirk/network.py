@@ -213,9 +213,11 @@ def init_model(spec: NetworkSpec) -> Model:
 
 
 def fit_input_norm(X: np.ndarray) -> np.ndarray:
-    """Per-feature (min, max) over finite training rows; degenerate
-    (constant) features get a unit-wide window so min < max always holds."""
+    """Per-feature (min, max) over finite training rows (at least one);
+    constant features get a unit-wide window so min < max always holds."""
     X = finite_rows(X, "features")
+    if not len(X):
+        raise ValueError("fit_input_norm needs at least one row")
     lo = X.min(axis=0)
     hi = X.max(axis=0)
     flat = hi - lo <= 0
@@ -510,8 +512,10 @@ def network_forward(raw_input, model: Model):
 
 def edge_scores(model: Model, X_train) -> list:
     """Per-layer arrays (fan_in, units): std of each edge's DR output over
-    the training inputs; inactive edges score NaN."""
-    _, caches = _forward_pass(model, X_train, want_grads=False)
+    the training inputs, at least one row; inactive edges score NaN."""
+    yhat, caches = _forward_pass(model, X_train, want_grads=False)
+    if not len(yhat):
+        raise ValueError("edge_scores needs at least one row")
     scores = [np.full(active.shape, np.nan) for active in model.edge_active]
     for s, cache in zip(scores, caches):
         blk = cache["blk"]

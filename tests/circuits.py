@@ -28,7 +28,9 @@ def _wiring(p: DRParams):
 def kernel_dtheta(xs, p: DRParams) -> np.ndarray:
     """d<Z>/dthetas at inputs ``xs`` (any shape), shaped
     (L,) + xs.shape + p.thetas.shape[1:]; a scalar x gives p.thetas' shape."""
-    return _grad(np.asarray(xs, dtype=np.float64), p.thetas, *_wiring(p))[1]
+    xs = np.asarray(xs, dtype=np.float64)
+    dtheta = _grad(xs.reshape(-1, 1), p.thetas[:, None], *_wiring(p))[1]
+    return dtheta.reshape(p.thetas.shape[:1] + xs.shape + p.thetas.shape[1:])
 
 
 def series_dx(xs, p: DRParams) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from quirk.data import Dataset, generate, generate_univariate
+from quirk.dr import DRParams, dr_forward_batch
 from quirk.interpret import fit_poly, report, surrogate_forward
 from quirk.network import (LayerSpec, NetworkSpec, edge_samples, edge_scores,
                            fit_input_norm, init_model, layer_forward,
@@ -93,6 +94,8 @@ COUNT_ENTRIES = [
     ("generate_univariate", "n_samples", 1, lambda v: generate_univariate("sin", v)),
     ("generate_univariate", "seed", 0,
      lambda v: generate_univariate("sin", 5, seed=v)),
+    ("DRParams", "num_qubits", 1,
+     lambda v: dr_forward_batch(0.5, DRParams(np.full((1, 2, 2), 0.3), num_qubits=v))),
 ]
 
 
@@ -111,6 +114,39 @@ def test_numpy_integer_count_accepted(entry, field, least, call):
     if isinstance(got, Dataset):
         got, want = ((d.X.tobytes(), d.y.tobytes()) for d in (got, want))
     assert got == want
+
+
+# zero rows: an entry that reduces over its rows names them, and one that
+# maps rows to rows returns none
+EMPTY_ENTRIES = [
+    ("edge_scores", lambda: edge_scores(_model(), np.zeros((0, 2))),
+     "^edge_scores needs at least one row$"),
+    ("fit_input_norm", lambda: fit_input_norm(np.zeros((0, 2))),
+     "^fit_input_norm needs at least one row$"),
+    ("fit_poly", lambda: fit_poly(np.zeros(0), np.zeros(0)),
+     "^a grid of 0 points cannot fix degree 6$"),
+    ("report", lambda: report(_model(), Dataset(
+        np.full((3, 2), 0.5), np.zeros(3),
+        splits={"train": [0, 1], "val": [2], "test": []})),
+     "^report needs at least one row; the test split is empty$"),
+]
+
+
+@pytest.mark.parametrize("call, match", [e[1:] for e in EMPTY_ENTRIES],
+                         ids=[e[0] for e in EMPTY_ENTRIES])
+def test_zero_rows_rejected_where_rows_are_reduced(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda X: network_forward(X, _model()), (0,)),
+    (lambda X: layer_forward(X, _model().thetas[0]), (0, 2)),
+    (lambda X: surrogate_forward(_report(), X), (0,)),
+    (lambda X: edge_samples(_model(), X[:, 0]), (6, 0)),
+], ids=["network_forward", "layer_forward", "surrogate_forward", "edge_samples"])
+def test_zero_rows_give_zero_rows_where_rows_are_mapped(call, want):
+    assert call(np.zeros((0, 2))).shape == want
 
 
 # report's settings (see interpret.check_settings): the grid is a count

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -76,11 +75,11 @@ class TestForward:
         for _ in range(30):
             p = init_dr_params(int(rng.integers(1, 5)), rng)
             x = rng.uniform(0, np.pi)
-            a = dr_forward_batch(x, p, clamp=False)
-            b = dr_forward_batch(x + 4 * np.pi, p, clamp=False)
+            a = dr_forward_batch(x, p)
+            b = dr_forward_batch(x + 4 * np.pi, p)
             assert a == pytest.approx(b, abs=1e-12)
             # integer frequencies up to K: the period is already 2 pi
-            c = dr_forward_batch(x + 2 * np.pi, p, clamp=False)
+            c = dr_forward_batch(x + 2 * np.pi, p)
             assert a == pytest.approx(c, abs=1e-12)
 
     def test_determinism(self):
@@ -138,7 +137,7 @@ class TestGradient:
             np.testing.assert_allclose(dth, oracles.shift_rule_dtheta(x, p.thetas), atol=1e-10)
             assert dx == pytest.approx(oracles.shift_rule_dx(x, p.thetas), abs=1e-10)
             np.testing.assert_allclose(dth, oracles.fd_dtheta(x, p.thetas), atol=1e-6)
-            fd_dx = oracles.central_diff(lambda t: dr_forward_batch(t, p, clamp=False), x)
+            fd_dx = oracles.central_diff(lambda t: dr_forward_batch(t, p), x)
             assert dx == pytest.approx(fd_dx, abs=1e-6)
 
     def test_su2_template_gradients(self):
@@ -188,11 +187,11 @@ class TestGradient:
         dtheta_growth = 10 * xs.size * p.thetas.shape[-1] * 8
         assert peak[12] - peak[2] < 2 * dtheta_growth
 
-    @pytest.mark.parametrize("n,x_shape,mid", [(1, (40,), ()), (2, (9, 1), (7,)),
-                                              (1, (1, 5), (6, 5)), (3, (), (4, 3))])
+    @pytest.mark.parametrize("n,x_shape,mid", [(1, (40, 1), (1,)), (2, (9, 1), (3,)),
+                                              (1, (7, 1), (5,)), (3, (6, 1), (2,))])
     def test_blocks_change_no_sample(self, n, x_shape, mid, monkeypatch):
-        # the batch runs in blocks of rows (to bound the tangents kept per
-        # layer); any block size gives every sample the same bits
+        # the batch (N, E) runs in blocks of inputs (to bound the tangents
+        # kept per layer); any block size gives every sample the same bits
         rng = np.random.default_rng(n)
         xs = rng.uniform(0, np.pi, x_shape)
         P = DEFAULT_TEMPLATE.params_per_layer
@@ -308,6 +307,15 @@ def test_series_rows_do_not_depend_on_their_company(n, entangle, template, L, E,
         assert J1.tobytes() == J[:, keep].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_series_of_an_empty_stack_is_empty(n):
+    # a wiring group whose edges are all pruned compiles an (L, 0, ...) stack
+    P = DEFAULT_TEMPLATE.params_per_layer
+    thetas = np.zeros((3, 0) + ((P,) if n == 1 else (n, P)))
+    K, c, J = drmod._series(thetas, n, True, DEFAULT_TEMPLATE)
+    assert c.shape == (0, 2 * K + 1) and J.shape == thetas.shape + (2 * K + 1,)
+
+
 @pytest.mark.parametrize("template", ["default", "su2"])
 @pytest.mark.parametrize("n,entangle", [(1, False), (1, True), (2, False), (2, True),
                                         (3, False), (3, True)])
@@ -326,32 +334,27 @@ def test_series_coefficients_are_the_dft_of_the_forward_values(n, entangle, temp
     assert c.tobytes() == want.tobytes()
 
 
-class TestClamping:
-    def test_out_of_domain_warns_and_clamps(self):
+class TestAnyFiniteInput:
+    def test_out_of_domain_is_the_raw_circuit(self):
+        # nothing is clamped: above pi the readout is the circuit's own
         p = random_params(3)
-        with pytest.warns(RuntimeWarning) as record:
-            v = dr_forward_batch(4.0, p)
-        assert [w.category for w in record] == [RuntimeWarning]
-        assert v == pytest.approx(dr_forward_batch(np.pi, p), abs=1e-15)
+        assert dr_forward_batch(4.0, p) == pytest.approx(
+            oracles.naive_dr_forward(4.0, p.thetas), abs=1e-12)
 
-    def test_negative_input_clamps_to_zero(self):
+    def test_negative_input_is_the_raw_circuit(self):
         p = random_params(3)
-        with pytest.warns(RuntimeWarning):
-            v = dr_forward_batch(-1.0, p)
-        assert v == pytest.approx(dr_forward_batch(0.0, p), abs=1e-15)
+        assert dr_forward_batch(-1.0, p) == pytest.approx(
+            oracles.naive_dr_forward(-1.0, p.thetas), abs=1e-12)
 
-    def test_clamp_off_uses_raw_circuit(self):
+    def test_raw_circuit_is_not_the_clamped_value(self):
+        # x = 4.0 is not read as x = pi, as the old clamp did
         p = random_params(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            raw = dr_forward_batch(4.0, p, clamp=False)
-        assert raw != pytest.approx(dr_forward_batch(np.pi, p), abs=1e-9)
+        assert dr_forward_batch(4.0, p) != pytest.approx(dr_forward_batch(np.pi, p), abs=1e-9)
 
-    def test_in_domain_never_warns(self):
-        p = random_params(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            dr_forward_batch(np.linspace(0, np.pi, 50), p)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="^inputs must be finite$"):
+            dr_forward_batch([0.5, bad], random_params(3))
 
 
 class TestValidation:

@@ -655,7 +655,8 @@ def test_network_matches_oracles(case):
         # the compiled series against the statevector kernel at random x
         wiring = (layer.qubits_per_edge, layer.entangle, m.spec.template)
         th = m.thetas[k]
-        K, c, J = _series(_flat_edges(th), *wiring)
+        flat = _flat_edges(th)
+        K, c, J = _series(flat, *wiring)
         c = c.reshape(th.shape[1:3] + c.shape[1:])
         J = J.reshape(th.shape + J.shape[-1:])
         x = rng.uniform(0, np.pi, (7, 1, 1))
@@ -664,8 +665,10 @@ def test_network_matches_oracles(case):
         dbasis = np.concatenate([np.zeros_like(kx[..., :1]),
                                  -np.arange(1, K + 1) * np.sin(kx),
                                  np.arange(1, K + 1) * np.cos(kx)], -1)
-        f, dth = _grad(x, m.thetas[k], *wiring)
-        npt.assert_array_equal(f, _forward(x, m.thetas[k], *wiring))
+        f, dth = _grad(x[:, 0], flat, *wiring)
+        npt.assert_array_equal(f, _forward(x[:, 0], flat, *wiring))
+        f = f.reshape(x.shape[:1] + th.shape[1:3])
+        dth = dth.reshape(th.shape[:1] + x.shape[:1] + th.shape[1:])
         npt.assert_allclose(np.einsum("biuk,iuk->biu", basis, c), f, rtol=0, atol=1e-12)
         # the series' derivative in x, which network_backward uses, against
         # the shift rule on every edge

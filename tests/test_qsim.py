@@ -53,9 +53,9 @@ def apply_ring(state):
 
 
 def zero_state(n):
-    thetas = np.zeros((1, 2) if n == 1 else (1, n, 2))
-    _, state = _setup(np.zeros(()), thetas, n)
-    return np.array(state)
+    thetas = np.zeros((1, 1, 2) if n == 1 else (1, 1, n, 2))
+    _, state = _setup(np.zeros((1, 1)), thetas, n)
+    return np.array(state)[:, 0, 0]
 
 
 def z0(state):

@@ -81,6 +81,21 @@ def test_one_edge_evaluator():
     assert not calls, f"calls into the statevector kernel: {calls}"
 
 
+def _warn_calls(module: str) -> list:
+    tree = ast.parse((ROOT / "src" / "quirk" / f"{module}.py").read_text(encoding="utf-8"))
+    return [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("warnings.warn", "warn")]
+
+
+def test_kernel_and_network_do_not_warn():
+    """dr.py and network.py report through return values and errors, not
+    ad-hoc warnings: a condition worth reporting there gets a counter."""
+    # the parse must see train.py's warning, or it would check nothing
+    assert _warn_calls("train")
+    calls = _warn_calls("dr") + _warn_calls("network")
+    assert not calls, f"warnings.warn called at {calls}"
+
+
 def test_network_builds_no_scalar_trig():
     """network.py forms cos x and sin x from one np.tan (see _layer_eval):
     numpy's float64 cos and sin are scalar loops, many times slower per
