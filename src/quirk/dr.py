@@ -83,6 +83,10 @@ class GateTemplate:
     def params_per_layer(self) -> int:
         return sum(1 for _, s in self.gates if s != "input")
 
+    @property
+    def encodings_per_layer(self) -> int:
+        return len(self.gates) - self.params_per_layer
+
 
 DEFAULT_TEMPLATE = GateTemplate()
 # full single-qubit SU(2) trainable block (3 params/layer); available, not default
@@ -346,7 +350,7 @@ def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
     DFT is then one stacked product of the same shape per edge, so an
     edge's c and J do not depend on which edges share the call.
     """
-    K = sum(1 for _, s in template.gates if s == "input") * n * thetas.shape[0]
+    K = template.encodings_per_layer * n * thetas.shape[0]
     N = 2 * K + 1
     nodes = (2.0 * np.pi / N) * np.arange(N)
     f, dtheta = _grad(nodes[:, None], thetas, n, entangle, template)

@@ -31,7 +31,9 @@ layer's live block, the inputs and units with a live edge, chained so that
 each block's units are the next block's inputs, and every pass
 evaluates only that block, so a pruned edge costs nothing to serve or
 fine-tune; a fully live layer's block is the whole layer, and every pass
-gives each edge the bits that evaluating its whole layer would.
+gives each edge the bits that evaluating its whole layer would.  A fit
+prepares its rows once (``prepare_rows``: layer 0's normalized inputs and
+basis), and a minibatch indexes them with the bits of preparing it alone.
 """
 
 from __future__ import annotations
@@ -378,39 +380,24 @@ def _live_blocks(layers: tuple, masks: tuple) -> tuple:
 _TILE = 64
 
 
-def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
-    """Evaluate one layer's live block on its normalized inputs h (B, |ins|)
-    from its compiled series: degree K and coefficients c (|ins|, |outs|,
-    2K+1), as ``_compiled`` gives them.  Pruned edges outside the block
-    cost nothing; a fully live layer's block is the whole layer.
-
-    Edge (i, u) reads f(x) = c_0 + sum_k c_k cos kx + c_{K+k} sin kx.  The
-    batch is padded to whole tiles of ``_TILE`` rows, and the basis
-    [1, cos kx, sin kx] is built on it: cos x and sin x from t = tan(x/2)
-    by the half-angle identities, w = 2/(1 + t^2), cos x = w - 1 and
-    sin x = t w, then cos kx and sin kx by angle addition.  numpy's float64
-    tan is a vectorised loop and its cos and sin are scalar ones, several
-    times slower per element.  For x in [0, pi], which ``apply_input_norm``
-    and ``rescale`` guarantee, cos x and sin x are within 3.3e-16 of
-    ``np.cos`` and ``np.sin`` (t^2 cannot overflow: |tan| of a double stays
-    far below 1e154), and tan gives an element the same bits at any offset
-    of any array.  f is one stacked matmul of one (1, 2K+1)·(2K+1, _TILE)
-    product per tile and edge, and unit sums add the inputs in order, so a
-    row gets the same arithmetic at any batch size and at any row offset,
-    and an edge in any block.  Returns
-    (unit_sums (B, |outs|), edge_vals (B, |ins|, |outs|), basis or None
-    unless ``want_grads``), none holding a padded row; the basis is
-    (|ins|, 2K+1, B), each input's (2K+1, B) matrix with its rows
-    contiguous.
+def _basis(h: np.ndarray, K: int) -> np.ndarray:
+    """The basis [1, cos kx, sin kx] of normalized inputs h (B, |ins|),
+    padded to whole tiles of ``_TILE`` rows, frequency-major: (2K+1, |ins|,
+    tiles * _TILE), each term one contiguous array.  A padded row is the
+    basis of x = 0.  cos x and sin x come from t = tan(x/2) by the
+    half-angle identities, w = 2/(1 + t^2), cos x = w - 1 and sin x = t w,
+    then cos kx and sin kx by angle addition.  numpy's float64 tan is a
+    vectorised loop and its cos and sin are scalar ones, several times
+    slower per element.  For x in [0, pi], which ``apply_input_norm`` and
+    ``rescale`` guarantee, cos x and sin x are within 3.3e-16 of ``np.cos``
+    and ``np.sin`` (t^2 cannot overflow: |tan| of a double stays far below
+    1e154), and tan gives an element the same bits at any offset of any
+    array, so a row's basis does not depend on the rows around it.
     """
     B, n_ins = h.shape
-    tiles = -(-B // _TILE)
-    rows = tiles * _TILE
-    # stored frequency-major, so that each term is one contiguous
-    # (|ins|, rows) array; the basis and the tiles are views of it
-    terms = np.empty((2 * K + 1, n_ins, rows))
-    x, work = terms[0], np.empty((n_ins, rows))
-    x[:, B:] = 0.0  # padded rows, dropped below
+    terms = np.empty((2 * K + 1, n_ins, -(-B // _TILE) * _TILE))
+    x, work = terms[0], np.empty(terms.shape[1:])
+    x[:, B:] = 0.0  # padded rows
     np.multiply(h.T, 0.5, out=x[:, :B])
     # t = tan(x/2), w = 2/(1 + t^2), cos x = w - 1, sin x = t w, in place
     sin1 = np.tan(x, out=terms[K + 1])
@@ -425,6 +412,31 @@ def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool):
         np.multiply(terms[K + k - 1], cos1, out=terms[K + k])
         terms[K + k] += np.multiply(terms[k - 1], sin1, out=work)
     x[...] = 1.0
+    return terms
+
+
+def _layer_eval(h: np.ndarray, K: int, c: np.ndarray, want_grads: bool,
+                terms: np.ndarray | None = None):
+    """Evaluate one layer's live block on its normalized inputs h (B, |ins|)
+    from its compiled series: degree K and coefficients c (|ins|, |outs|,
+    2K+1), as ``_compiled`` gives them, and their basis ``terms`` (built
+    here unless given, see ``_basis``).  Pruned edges outside the block
+    cost nothing; a fully live layer's block is the whole layer.
+
+    Edge (i, u) reads f(x) = c_0 + sum_k c_k cos kx + c_{K+k} sin kx.  f is
+    one stacked matmul of one (1, 2K+1)·(2K+1, _TILE) product per tile and
+    edge, and unit sums add the inputs in order, so a row gets the same
+    arithmetic at any batch size and at any row offset, and an edge in any
+    block.  Returns
+    (unit_sums (B, |outs|), edge_vals (B, |ins|, |outs|), basis or None
+    unless ``want_grads``), none holding a padded row; the basis is
+    (|ins|, 2K+1, B), each input's (2K+1, B) matrix with its rows
+    contiguous.
+    """
+    B = len(h)
+    terms = _basis(h, K) if terms is None else terms
+    rows = terms.shape[2]
+    tiles = rows // _TILE
     # by_tile[t, i] is input i's (2K+1, _TILE) basis on tile t; the matmul
     # makes one (1, 2K+1)·(2K+1, _TILE) product per tile and edge into
     # f[i, u], rows innermost
@@ -472,28 +484,89 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
     return sums[0] if np.ndim(inputs) == 1 else sums
 
 
-def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
-    """Shared forward over each layer's live block: returns (yhat (B,),
+@dataclass(eq=False)
+class _Rows:
+    """Rows of raw features made ready for a model's layer 0 (see
+    ``prepare_rows``): ``h`` (B, |ins|) holds their normalized live inputs
+    and ``terms`` their basis as ``_basis`` pads it, built for layer 0's
+    live inputs ``ins`` (see ``_Block``) at degree ``K``.  ``shape`` and
+    ``ndim`` are the raw rows', so code that sizes rows reads both alike."""
+
+    shape: tuple
+    ins: object
+    K: int
+    h: np.ndarray
+    terms: np.ndarray
+    ndim = 2
+
+    def take(self, idx) -> "_Rows":
+        """The rows at ``idx``, with the bits that preparing them alone
+        gives; a padded row is the basis of x = 0 (see ``_basis``)."""
+        h, K = np.take(self.h, idx, axis=0), self.K
+        B = len(h)
+        terms = np.empty(self.terms.shape[:2] + (-(-B // _TILE) * _TILE,))
+        # mode "wrap" writes unbuffered; h's take rejected any bad index
+        np.take(self.terms, idx, axis=2, out=terms[:, :, :B], mode="wrap")
+        terms[:K + 1, :, B:] = 1.0
+        terms[K + 1:, :, B:] = 0.0
+        return _Rows((B,) + self.shape[1:], self.ins, K, h, terms)
+
+
+def prepare_rows(model: Model, X) -> _Rows:
+    """Finite raw feature rows X (B, input_dim), normalized and expanded in
+    layer 0's Fourier basis once, for ``network_forward``,
+    ``network_backward`` and ``edge_scores`` to take in place of raw rows;
+    ``take(idx)`` indexes them.  They serve models whose layer 0 has the
+    same live inputs and degree, which the masks and layer 0's spec fix
+    without a compile; other models raise ValueError."""
+    layer = model.spec.layers[0]
+    masks = tuple(np.asarray(a, dtype=bool).tobytes() for a in model.edge_active)
+    ins = _live_blocks(model.spec.layers, masks)[0][1]
+    K = model.spec.template.encodings_per_layer * layer.qubits_per_edge * layer.dr_layers
+    return _prepare(model, X, ins, K)
+
+
+def _prepare(model: Model, X, ins, K: int) -> _Rows:
+    if model.input_norm is None:
+        raise RuntimeError(
+            "input normalization is unfitted; train first or set model.input_norm")
+    X = finite_rows(X, "features", model.spec.input_dim)
+    h = apply_input_norm(model.input_norm[ins], X[:, ins])
+    return _Rows(X.shape, ins, K, h, _basis(h, K))
+
+
+def _block_name(ins, K: int, width: int) -> str:
+    return f"inputs {np.arange(width)[ins].tolist()} at degree {K}"
+
+
+def _forward_pass(model: Model, X, want_grads: bool):
+    """Shared forward over each layer's live block on prepared rows (see
+    prepare_rows; raw rows are prepared first): returns (yhat (B,),
     caches).  caches[k] holds the layer's block record ``blk`` (see
     _compiled) and its unit sums and edge values on the block (see
     _layer_eval) and, with ``want_grads``, its Fourier basis and the slope
     of the rescale after it on the block's units (see rescale); else the
     basis is None.  Each block's units are the next block's inputs."""
-    if model.input_norm is None:
-        raise RuntimeError(
-            "input normalization is unfitted; train first or set model.input_norm")
-    X = finite_rows(X, "features", model.spec.input_dim)
     caches = []
     n_layers = len(model.spec.layers)
     series = _compiled(model.spec.layers, model.spec.template, model.thetas,
                        model.edge_active)
-    ins = series[0].ins
-    h = apply_input_norm(model.input_norm[ins], X[:, ins])
+    ins, K = series[0].ins, series[0].K
+    if not isinstance(X, _Rows):
+        X = _prepare(model, X, ins, K)
+    elif X.ins is not ins or X.K != K:  # the same block is mostly the same object
+        got = _block_name(X.ins, X.K, X.shape[1])
+        want = _block_name(ins, K, model.spec.input_dim)
+        if got != want:
+            raise ValueError(f"rows prepared for layer 0's {got}, but the "
+                             f"model's layer 0 reads {want}; prepare them again")
+    h, terms = X.h, X.terms
+    del X  # a raw batch's basis goes once layer 0 is done, as later layers' do
     for k, blk in enumerate(series):
-        v, f, basis = _layer_eval(h, blk.K, blk.c, want_grads)
+        v, f, basis = _layer_eval(h, blk.K, blk.c, want_grads, terms)
         caches.append({"blk": blk, "v": v, "f": f, "basis": basis})
         if k < n_layers - 1:
-            h = rescale(v, blk.div, b=model.spec.bias_flag)
+            h, terms = rescale(v, blk.div, b=model.spec.bias_flag), None
             if want_grads:
                 caches[-1]["slope"] = np.where((h > 0.0) & (h < np.pi),
                                                np.pi / (2.0 * blk.div), 0.0)
@@ -505,7 +578,8 @@ def _forward_pass(model: Model, X: np.ndarray, want_grads: bool):
 
 def network_forward(raw_input, model: Model):
     """Model output for one sample (returns float) or a batch (B, input_dim)
-    (returns (B,)) of finite raw features, normalized internally."""
+    (returns (B,)) of finite raw features, normalized internally, or of rows
+    from ``prepare_rows``."""
     out, _ = _forward_pass(model, raw_input, want_grads=False)
     return float(out[0]) if np.ndim(raw_input) == 1 else out
 
@@ -546,7 +620,8 @@ class Gradients:
 
 def network_backward(X, y, model: Model):
     """Exact gradients of L = mean((yhat - y)^2) / 2 over a non-empty batch:
-    finite rows X (B, input_dim) and finite targets y (B,).
+    finite rows X (B, input_dim), raw or from ``prepare_rows``, and finite
+    targets y (B,).
 
     Returns (loss, yhat, Gradients).  Chain rule runs through the dense head,
     every live block's DR edges, and the inter-layer rescales (see rescale

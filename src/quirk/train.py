@@ -6,6 +6,10 @@ training batch (or seeded minibatches).  Validation RMSE is tracked every
 step; the best-validation model is what a run returns.  NaN anywhere in
 the loss or parameters aborts with the offending step in the message.
 
+A fit prepares its training and validation rows for layer 0 once
+(normalized inputs and their Fourier basis, see ``network.prepare_rows``);
+a minibatch step indexes the prepared training rows.
+
 Pruning scores every active edge by the standard deviation of its DR
 output over the training inputs, drops edges scoring below tau times the
 network-wide maximum, cascades unit removal downstream and upstream, and
@@ -30,6 +34,7 @@ from .network import (
     network_backward,
     network_forward,
     param_count,
+    prepare_rows,
 )
 
 
@@ -142,18 +147,19 @@ def _check_finite(step: int, loss: float, params) -> None:
 
 def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
          max_steps: int, patience: int | None):
-    """Shared optimizer core: mutates ``model`` and returns (a copy of the
+    """Shared optimizer core: mutates ``model`` and returns (the
     best-validation model, its TrainHistory)."""
     # the dense pair rides along as one 2-vector, copied back after each step
     head = [np.array([model.dense_w, model.dense_b])] if model.spec.dense_head else []
     params = model.thetas + head
     state = AdamState.for_params(params)
     rng = np.random.default_rng(config.seed)
+    rows_tr, rows_val = prepare_rows(model, X_tr), prepare_rows(model, X_val)
     n_tr = X_tr.shape[0]
     bs = config.batch_size
     order = None
     cursor = 0
-    best = model.copy()
+    best = [p.copy() for p in params]  # the best step's angles and dense pair
     best_val = np.inf
     best_step = -1
     history = TrainHistory()
@@ -164,22 +170,22 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
     for step in range(1, max_steps + 1):
         full = bs is None or bs >= n_tr
         if full:
-            xb, yb = X_tr, y_tr
+            xb, yb = rows_tr, y_tr
         else:
             if order is None or cursor + bs > n_tr:
                 order = rng.permutation(n_tr)
                 cursor = 0
             take = order[cursor:cursor + bs]
             cursor += bs
-            xb, yb = X_tr[take], y_tr[take]
+            xb, yb = rows_tr.take(take), y_tr[take]
         loss, yhat, grads = network_backward(xb, yb, model)
         tr = rmse(yhat, yb)
-        vr = rmse(network_forward(X_val, model), y_val)
+        vr = rmse(network_forward(rows_val, model), y_val)
         history.record(step, tr, vr, (time.perf_counter() - t0) * 1e3)
         if vr < best_val:
             best_val = vr
             best_step = step
-            best = model.copy()
+            best = [p.copy() for p in params]
         if patience is not None and step - best_step >= patience:
             break
         dense = [np.array([grads.dense_w, grads.dense_b])] if head else []
@@ -189,7 +195,10 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
         _check_finite(step, loss, params)
     history.best_step = best_step
     history.best_val_rmse = float(best_val)
-    return best, history
+    dense_w, dense_b = map(float, best[-1]) if head else (model.dense_w, model.dense_b)
+    return Model(model.spec, best[:len(model.thetas)],
+                 [a.copy() for a in model.edge_active], dense_w, dense_b,
+                 model.input_norm.copy()), history
 
 
 def _split(dataset: Dataset, config: TrainConfig):

@@ -14,7 +14,8 @@ from quirk.dr import DRParams, dr_forward_batch
 from quirk.interpret import fit_poly, report, surrogate_forward
 from quirk.network import (LayerSpec, NetworkSpec, edge_samples, edge_scores,
                            fit_input_norm, init_model, layer_forward,
-                           network_backward, network_forward, spec_from_shape)
+                           network_backward, network_forward, prepare_rows,
+                           spec_from_shape)
 
 
 @cache
@@ -42,6 +43,7 @@ ROW_ENTRIES = [
     ("network_backward", "targets", 3, True,
      lambda y: network_backward(np.full((3, 2), 0.5), y, _model())),
     ("edge_scores", "features", 2, False, lambda X: edge_scores(_model(), X)),
+    ("prepare_rows", "features", 2, False, lambda X: prepare_rows(_model(), X)),
     ("edge_samples", "grid", None, True, lambda xs: edge_samples(_model(), xs)),
     ("layer_forward", "features", 2, False,
      lambda X: layer_forward(X, _model().thetas[0])),
@@ -144,7 +146,9 @@ def test_zero_rows_rejected_where_rows_are_reduced(call, match):
     (lambda X: layer_forward(X, _model().thetas[0]), (0, 2)),
     (lambda X: surrogate_forward(_report(), X), (0,)),
     (lambda X: edge_samples(_model(), X[:, 0]), (6, 0)),
-], ids=["network_forward", "layer_forward", "surrogate_forward", "edge_samples"])
+    (lambda X: prepare_rows(_model(), X), (0, 2)),
+], ids=["network_forward", "layer_forward", "surrogate_forward", "edge_samples",
+        "prepare_rows"])
 def test_zero_rows_give_zero_rows_where_rows_are_mapped(call, want):
     assert call(np.zeros((0, 2))).shape == want
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -1067,3 +1068,42 @@ def test_edge_samples_return_the_grid_rows_only():
     assert samples.shape == (sum(int(a.sum()) for a in m.edge_active), len(xs))
     for j in (0, 63, 64, 256):
         assert samples[:, j].tobytes() == network.edge_samples(m, xs[j:j + 1])[:, 0].tobytes()
+
+
+# --- prepared rows ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("B", [1, 63, 64, 65])
+def test_taken_rows_equal_rows_prepared_alone(B):
+    m, rng = _narrowed_model(2, 6)
+    m.edge_active[0][2] = False  # layer 0's block skips input 2
+    X = rng.uniform(0, 1, (300, 6))
+    idx = rng.permutation(300)[:B]
+    got, alone = network.prepare_rows(m, X).take(idx), network.prepare_rows(m, X[idx])
+    assert got.shape == alone.shape == (B, 6) and got.K == alone.K
+    npt.assert_array_equal(got.ins, alone.ins)
+    assert got.h.tobytes() == alone.h.tobytes()
+    assert got.terms.tobytes() == alone.terms.tobytes()  # padded rows too
+    assert network_forward(got, m).tobytes() == network_forward(X[idx], m).tobytes()
+
+
+@pytest.mark.parametrize("change,block", [
+    ("prune", "inputs [0, 2] at degree 2"),  # input 1 loses its edges
+    ("depth", "inputs [0, 1, 2] at degree 3"),
+])
+def test_rows_prepared_for_another_block_rejected(change, block):
+    m = small_model((3, 2, 1), dr_layers=2)
+    X = np.random.default_rng(0).uniform(0, 1, (10, 3))
+    rows = network.prepare_rows(m, X)
+    if change == "prune":
+        other = m.copy()
+        other.edge_active[0][1] = False
+    else:
+        other = small_model((3, 2, 1), dr_layers=3)
+    msg = re.escape(f"layer 0's inputs [0, 1, 2] at degree 2, but the model's "
+                    f"layer 0 reads {block}")
+    with pytest.raises(ValueError, match=msg):
+        network_forward(rows, other)
+    with pytest.raises(ValueError, match=msg):
+        network_backward(rows, np.zeros(10), other)
+    assert network_forward(rows, m).tobytes() == network_forward(X, m).tobytes()

@@ -127,6 +127,25 @@ def test_compile_takes_gate_trig_once_per_template_entry(monkeypatch):
             assert len(calls) == entries, (template, n, L, calls)
 
 
+@pytest.mark.parametrize("batch_size", [None, 16])
+def test_a_fit_prepares_its_rows_once(monkeypatch, batch_size):
+    """A fit normalizes its training and validation rows once each and
+    indexes them in every step, full batch or minibatch."""
+    from quirk import network
+    from quirk.data import Dataset
+    from quirk.train import TrainConfig, train
+    calls, real = [], network.apply_input_norm
+    monkeypatch.setattr(network, "apply_input_norm",
+                        lambda norm, X: calls.append(len(X)) or real(norm, X))
+    X = np.random.default_rng(11).uniform(0, 1, (60, 1))
+    ds = Dataset(X, np.sin(X[:, 0]), columns=("x", "y")).split(seed=11)
+    _, hist = train(ds, network.spec_from_shape([1, 2, 1], dr_layers=2, seed=0),
+                    TrainConfig(max_steps=12, seed=0, early_stop_patience=12,
+                                batch_size=batch_size))
+    assert len(hist.steps) == 12
+    assert calls == [len(ds.splits["train"]), len(ds.splits["val"])]
+
+
 # in a fresh process: the third of three rounds of 48 MiB of big arrays,
 # made and freed, must reuse the heap of the first rather than fault pages in
 _HEAP_ROUNDS = """

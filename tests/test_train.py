@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quirk.data import Dataset, train_val_test_split
-from quirk.network import (fit_input_norm, init_model, network_forward,
-                           param_count, spec_from_shape)
+from quirk.network import (fit_input_norm, init_model, network_backward,
+                           network_forward, param_count, save_model,
+                           spec_from_shape)
 from quirk.train import (AdamState, TrainConfig, TrainingDivergedError,
                          adam_step, edge_scores, prune, rmse, train)
 
@@ -292,6 +293,70 @@ class TestPruning:
             npt.assert_array_equal(a, b)
         for a, b in zip(model.thetas, thetas):
             npt.assert_array_equal(a, b)
+
+
+def _loop_on_raw_rows(model, X_tr, y_tr, X_val, y_val, config, max_steps, patience):
+    """train's optimizer as a plain loop through the public entries on raw
+    rows: returns the best model, the (step, train, val) RMSEs, the best
+    step and its validation RMSE."""
+    head = [np.array([model.dense_w, model.dense_b])] if model.spec.dense_head else []
+    params = model.thetas + head
+    state, rng = AdamState.for_params(params), np.random.default_rng(config.seed)
+    bs, n = config.batch_size, len(X_tr)
+    order, cursor, best, best_val, best_step, curves = None, 0, model.copy(), np.inf, -1, []
+    for step in range(1, max_steps + 1):
+        take = slice(None)
+        if bs is not None and bs < n:
+            if order is None or cursor + bs > n:
+                order, cursor = rng.permutation(n), 0
+            take, cursor = order[cursor:cursor + bs], cursor + bs
+        _, yhat, grads = network_backward(X_tr[take], y_tr[take], model)
+        vr = rmse(network_forward(X_val, model), y_val)
+        curves.append((step, rmse(yhat, y_tr[take]), vr))
+        if vr < best_val:
+            best, best_val, best_step = model.copy(), vr, step
+        if patience is not None and step - best_step >= patience:
+            break
+        dense = [np.array([grads.dense_w, grads.dense_b])] if head else []
+        adam_step(params, grads.thetas + dense, state, config, step)
+        if head:
+            model.dense_w, model.dense_b = map(float, head[0])
+    return best, curves, best_step, best_val
+
+
+@pytest.mark.parametrize("shape,dr_layers,qubits,dense,batch,tau", [
+    ((2, 2, 1), 3, 1, False, None, 0.3),  # the prune drops input 1
+    ((4, 2, 1), 1, 2, True, 63, 0.2),
+    ((4, 2, 1), 1, 2, True, 65, 0.2),
+])
+def test_fit_equals_a_loop_on_raw_rows(tmp_path, shape, dr_layers, qubits, dense,
+                                       batch, tau):
+    """train() and prune() prepare their rows once and index minibatches;
+    each gives the bits of stepping on raw rows."""
+    def model_bytes(m):
+        save_model(m, tmp_path / "m.txt")
+        return (tmp_path / "m.txt").read_bytes()
+
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0, 1, (300, shape[0]))
+    ds = Dataset(X, np.sin(np.pi * X[:, 0]) + 0.3 * X[:, 1], seed=5).split(seed=5)
+    spec = spec_from_shape(list(shape), dr_layers=dr_layers, dense_head=dense, seed=5,
+                           qubits_per_edge=qubits, entangle=qubits > 1)
+    cfg = TrainConfig(learning_rate=0.05, max_steps=40, seed=5,
+                      early_stop_patience=40, batch_size=batch)
+    model, hist = train(ds, spec, cfg)
+    split = ds.part("train") + ds.part("val")
+    ref = init_model(spec)
+    ref.input_norm = fit_input_norm(split[0])
+    ref, curves, best_step, best_val = _loop_on_raw_rows(ref, *split, cfg, 40, 40)
+    assert list(zip(hist.steps, hist.train_rmse, hist.val_rmse)) == curves
+    assert (hist.best_step, hist.best_val_rmse) == (best_step, best_val)
+    assert model_bytes(model) == model_bytes(ref)
+    # prune's fine-tune steps on the masks prune gives without them
+    unfitted = prune(model, ds, tau, cfg, fine_tune_steps=0)
+    assert param_count(unfitted) < param_count(model)
+    ref = _loop_on_raw_rows(unfitted, *split, cfg, 10, None)[0]
+    assert model_bytes(prune(model, ds, tau, cfg, fine_tune_steps=10)) == model_bytes(ref)
 
 
 @st.composite
