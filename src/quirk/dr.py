@@ -83,9 +83,9 @@ class GateTemplate:
     def params_per_layer(self) -> int:
         return sum(1 for _, s in self.gates if s != "input")
 
-    @property
-    def encodings_per_layer(self) -> int:
-        return len(self.gates) - self.params_per_layer
+    def degree(self, qubits: int, layers: int) -> int:
+        """An edge's Fourier degree K: one frequency per encoding gate."""
+        return (len(self.gates) - self.params_per_layer) * qubits * layers
 
 
 DEFAULT_TEMPLATE = GateTemplate()
@@ -350,7 +350,7 @@ def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
     DFT is then one stacked product of the same shape per edge, so an
     edge's c and J do not depend on which edges share the call.
     """
-    K = template.encodings_per_layer * n * thetas.shape[0]
+    K = template.degree(n, thetas.shape[0])
     N = 2 * K + 1
     nodes = (2.0 * np.pi / N) * np.arange(N)
     f, dtheta = _grad(nodes[:, None], thetas, n, entangle, template)

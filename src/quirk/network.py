@@ -32,8 +32,9 @@ each block's units are the next block's inputs, and every pass
 evaluates only that block, so a pruned edge costs nothing to serve or
 fine-tune; a fully live layer's block is the whole layer, and every pass
 gives each edge the bits that evaluating its whole layer would.  A fit
-prepares its rows once (``prepare_rows``: layer 0's normalized inputs and
-basis), and a minibatch indexes them with the bits of preparing it alone.
+prepares the rows it reuses once (``prepare_rows``: layer 0's normalized
+inputs and basis), its validation rows and, when each step takes them
+all, its training rows.
 """
 
 from __future__ import annotations
@@ -488,51 +489,55 @@ def layer_forward(inputs, thetas, active=None, entangle: bool = False,
 class _Rows:
     """Rows of raw features made ready for a model's layer 0 (see
     ``prepare_rows``): ``h`` (B, |ins|) holds their normalized live inputs
-    and ``terms`` their basis as ``_basis`` pads it, built for layer 0's
-    live inputs ``ins`` (see ``_Block``) at degree ``K``.  ``shape`` and
-    ``ndim`` are the raw rows', so code that sizes rows reads both alike."""
+    and ``terms`` their basis as ``_basis`` pads it, built with the
+    normalizer whose bytes are ``norm`` for layer 0's live inputs ``ins``
+    (see ``_Block``) at degree ``K``.  ``shape`` and ``ndim`` are the raw
+    rows', so code that sizes rows reads both alike."""
 
     shape: tuple
+    norm: bytes
     ins: object
     K: int
     h: np.ndarray
     terms: np.ndarray
     ndim = 2
 
-    def take(self, idx) -> "_Rows":
-        """The rows at ``idx``, with the bits that preparing them alone
-        gives; a padded row is the basis of x = 0 (see ``_basis``)."""
-        h, K = np.take(self.h, idx, axis=0), self.K
-        B = len(h)
-        terms = np.empty(self.terms.shape[:2] + (-(-B // _TILE) * _TILE,))
-        # mode "wrap" writes unbuffered; h's take rejected any bad index
-        np.take(self.terms, idx, axis=2, out=terms[:, :, :B], mode="wrap")
-        terms[:K + 1, :, B:] = 1.0
-        terms[K + 1:, :, B:] = 0.0
-        return _Rows((B,) + self.shape[1:], self.ins, K, h, terms)
-
 
 def prepare_rows(model: Model, X) -> _Rows:
     """Finite raw feature rows X (B, input_dim), normalized and expanded in
     layer 0's Fourier basis once, for ``network_forward``,
-    ``network_backward`` and ``edge_scores`` to take in place of raw rows;
-    ``take(idx)`` indexes them.  They serve models whose layer 0 has the
-    same live inputs and degree, which the masks and layer 0's spec fix
-    without a compile; other models raise ValueError."""
+    ``network_backward`` and ``edge_scores`` to take in place of raw rows.
+    They serve models with the same normalizer whose layer 0 has the same
+    live inputs and degree, which the masks and layer 0's spec fix without
+    a compile; other models raise ValueError."""
     layer = model.spec.layers[0]
     masks = tuple(np.asarray(a, dtype=bool).tobytes() for a in model.edge_active)
     ins = _live_blocks(model.spec.layers, masks)[0][1]
-    K = model.spec.template.encodings_per_layer * layer.qubits_per_edge * layer.dr_layers
-    return _prepare(model, X, ins, K)
+    return _prepare(model, X, ins,
+                    model.spec.template.degree(layer.qubits_per_edge, layer.dr_layers))
 
 
 def _prepare(model: Model, X, ins, K: int) -> _Rows:
+    """Raw rows X prepared for the model's normalizer and layer 0's live
+    inputs ``ins`` at degree K; prepared rows are checked against both."""
     if model.input_norm is None:
         raise RuntimeError(
             "input normalization is unfitted; train first or set model.input_norm")
-    X = finite_rows(X, "features", model.spec.input_dim)
-    h = apply_input_norm(model.input_norm[ins], X[:, ins])
-    return _Rows(X.shape, ins, K, h, _basis(h, K))
+    norm = model.input_norm.tobytes()
+    if not isinstance(X, _Rows):
+        X = finite_rows(X, "features", model.spec.input_dim)
+        h = apply_input_norm(model.input_norm[ins], X[:, ins])
+        return _Rows(X.shape, norm, ins, K, h, _basis(h, K))
+    if X.norm != norm:
+        raise ValueError("rows prepared with another input normalizer than the "
+                         "model's; prepare them again")
+    if X.ins is not ins or X.K != K:  # the same block is mostly the same object
+        got = _block_name(X.ins, X.K, X.shape[1])
+        want = _block_name(ins, K, model.spec.input_dim)
+        if got != want:
+            raise ValueError(f"rows prepared for layer 0's {got}, but the "
+                             f"model's layer 0 reads {want}; prepare them again")
+    return X
 
 
 def _block_name(ins, K: int, width: int) -> str:
@@ -551,15 +556,7 @@ def _forward_pass(model: Model, X, want_grads: bool):
     n_layers = len(model.spec.layers)
     series = _compiled(model.spec.layers, model.spec.template, model.thetas,
                        model.edge_active)
-    ins, K = series[0].ins, series[0].K
-    if not isinstance(X, _Rows):
-        X = _prepare(model, X, ins, K)
-    elif X.ins is not ins or X.K != K:  # the same block is mostly the same object
-        got = _block_name(X.ins, X.K, X.shape[1])
-        want = _block_name(ins, K, model.spec.input_dim)
-        if got != want:
-            raise ValueError(f"rows prepared for layer 0's {got}, but the "
-                             f"model's layer 0 reads {want}; prepare them again")
+    X = _prepare(model, X, series[0].ins, series[0].K)
     h, terms = X.h, X.terms
     del X  # a raw batch's basis goes once layer 0 is done, as later layers' do
     for k, blk in enumerate(series):

@@ -6,9 +6,9 @@ training batch (or seeded minibatches).  Validation RMSE is tracked every
 step; the best-validation model is what a run returns.  NaN anywhere in
 the loss or parameters aborts with the offending step in the message.
 
-A fit prepares its training and validation rows for layer 0 once
-(normalized inputs and their Fourier basis, see ``network.prepare_rows``);
-a minibatch step indexes the prepared training rows.
+A fit prepares its validation rows for layer 0 once (normalized inputs
+and their Fourier basis, see ``network.prepare_rows``), and its training
+rows when each step takes them all; a minibatch step passes raw rows.
 
 Pruning scores every active edge by the standard deviation of its DR
 output over the training inputs, drops edges scoring below tau times the
@@ -154,9 +154,10 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
     params = model.thetas + head
     state = AdamState.for_params(params)
     rng = np.random.default_rng(config.seed)
-    rows_tr, rows_val = prepare_rows(model, X_tr), prepare_rows(model, X_val)
-    n_tr = X_tr.shape[0]
-    bs = config.batch_size
+    n_tr, bs = X_tr.shape[0], config.batch_size
+    full = bs is None or bs >= n_tr
+    rows_tr = prepare_rows(model, X_tr) if full else None
+    rows_val = prepare_rows(model, X_val)
     order = None
     cursor = 0
     best = [p.copy() for p in params]  # the best step's angles and dense pair
@@ -168,7 +169,6 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
     # updates; train RMSE comes from the backward pass's own predictions, so
     # a minibatch step reports its batch, not the whole training split
     for step in range(1, max_steps + 1):
-        full = bs is None or bs >= n_tr
         if full:
             xb, yb = rows_tr, y_tr
         else:
@@ -177,7 +177,7 @@ def _fit(model: Model, X_tr, y_tr, X_val, y_val, config: TrainConfig,
                 cursor = 0
             take = order[cursor:cursor + bs]
             cursor += bs
-            xb, yb = rows_tr.take(take), y_tr[take]
+            xb, yb = X_tr[take], y_tr[take]
         loss, yhat, grads = network_backward(xb, yb, model)
         tr = rmse(yhat, yb)
         vr = rmse(network_forward(rows_val, model), y_val)

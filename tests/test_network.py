@@ -1073,20 +1073,6 @@ def test_edge_samples_return_the_grid_rows_only():
 # --- prepared rows ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("B", [1, 63, 64, 65])
-def test_taken_rows_equal_rows_prepared_alone(B):
-    m, rng = _narrowed_model(2, 6)
-    m.edge_active[0][2] = False  # layer 0's block skips input 2
-    X = rng.uniform(0, 1, (300, 6))
-    idx = rng.permutation(300)[:B]
-    got, alone = network.prepare_rows(m, X).take(idx), network.prepare_rows(m, X[idx])
-    assert got.shape == alone.shape == (B, 6) and got.K == alone.K
-    npt.assert_array_equal(got.ins, alone.ins)
-    assert got.h.tobytes() == alone.h.tobytes()
-    assert got.terms.tobytes() == alone.terms.tobytes()  # padded rows too
-    assert network_forward(got, m).tobytes() == network_forward(X[idx], m).tobytes()
-
-
 @pytest.mark.parametrize("change,block", [
     ("prune", "inputs [0, 2] at degree 2"),  # input 1 loses its edges
     ("depth", "inputs [0, 1, 2] at degree 3"),
@@ -1107,3 +1093,21 @@ def test_rows_prepared_for_another_block_rejected(change, block):
     with pytest.raises(ValueError, match=msg):
         network_backward(rows, np.zeros(10), other)
     assert network_forward(rows, m).tobytes() == network_forward(X, m).tobytes()
+
+
+def test_rows_prepared_with_another_normalizer_rejected():
+    m = small_model((2, 2, 1), dr_layers=2)
+    X = np.random.default_rng(1).uniform(0, 1, (10, 2))
+    rows = network.prepare_rows(m, X)
+    other, unfitted = m.copy(), m.copy()
+    other.input_norm = other.input_norm * 0.5 - 1.0
+    unfitted.input_norm = None
+    for run in (lambda mm: network_forward(rows, mm),
+                lambda mm: network_backward(rows, np.zeros(10), mm),
+                lambda mm: edge_scores(mm, rows)):
+        with pytest.raises(ValueError, match="another input normalizer"):
+            run(other)
+        with pytest.raises(RuntimeError, match="unfitted"):
+            run(unfitted)
+    # an equal normalizer in another array serves
+    assert network_forward(rows, m.copy()).tobytes() == network_forward(X, m).tobytes()

@@ -129,8 +129,9 @@ def test_compile_takes_gate_trig_once_per_template_entry(monkeypatch):
 
 @pytest.mark.parametrize("batch_size", [None, 16])
 def test_a_fit_prepares_its_rows_once(monkeypatch, batch_size):
-    """A fit normalizes its training and validation rows once each and
-    indexes them in every step, full batch or minibatch."""
+    """A full-batch fit normalizes its training and validation rows once
+    each; a minibatch fit normalizes its validation rows once, then each
+    step's own batch."""
     from quirk import network
     from quirk.data import Dataset
     from quirk.train import TrainConfig, train
@@ -143,7 +144,8 @@ def test_a_fit_prepares_its_rows_once(monkeypatch, batch_size):
                     TrainConfig(max_steps=12, seed=0, early_stop_patience=12,
                                 batch_size=batch_size))
     assert len(hist.steps) == 12
-    assert calls == [len(ds.splits["train"]), len(ds.splits["val"])]
+    n_tr, n_val = len(ds.splits["train"]), len(ds.splits["val"])
+    assert calls == ([n_tr, n_val] if batch_size is None else [n_val] + [16] * 12)
 
 
 # in a fresh process: the third of three rounds of 48 MiB of big arrays,

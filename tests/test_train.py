@@ -328,11 +328,12 @@ def _loop_on_raw_rows(model, X_tr, y_tr, X_val, y_val, config, max_steps, patien
     ((2, 2, 1), 3, 1, False, None, 0.3),  # the prune drops input 1
     ((4, 2, 1), 1, 2, True, 63, 0.2),
     ((4, 2, 1), 1, 2, True, 65, 0.2),
+    ((3, 2, 1), 1, 2, True, 63, 0.3),  # the prune drops input 1
 ])
 def test_fit_equals_a_loop_on_raw_rows(tmp_path, shape, dr_layers, qubits, dense,
                                        batch, tau):
-    """train() and prune() prepare their rows once and index minibatches;
-    each gives the bits of stepping on raw rows."""
+    """train() and prune() prepare the rows they reuse once; each gives the
+    bits of stepping on raw rows."""
     def model_bytes(m):
         save_model(m, tmp_path / "m.txt")
         return (tmp_path / "m.txt").read_bytes()
