@@ -8,11 +8,15 @@ trainable rotations fed by angles::
 The readout is <Z> of the final state, a smooth function of x in [-1, 1].
 An n-qubit edge runs every gate of a layer on each qubit (with its own
 angles), optionally followed by a ring of CNOTs, and reads <Z> on qubit 0.
-Gradients with respect to every angle are exact and cost O(L) per sample:
-the forward sweep carries, within each circuit layer, one tangent per
-trainable angle, and a reverse sweep of the cotangent alone reads each
-layer's gradients in one overlap with them.  The parameter-shift rule
-exists in the test suite as an independent oracle, not here.
+Gradients with respect to every angle are exact and cost O(L) per sample.
+The kernel runs in the eigenframe of the encoding gate, where encoding x
+is one phase multiply and each run of trainable gates (with the ring that
+ends a layer) is one matrix per (layer, edge), stacked with one variant
+per trainable angle, its gradient slot.  The forward sweep carries every
+slot in one product per layer, and a reverse sweep of the cotangent alone
+reads each layer's gradients in one overlap with them.  The
+parameter-shift rule exists in the test suite as an independent oracle,
+not here.
 
 Internally everything is vectorized over one batch layout: inputs
 ``(N, 1)`` against a stack of E edges, thetas ``(L, E, P)`` (one qubit)
@@ -31,8 +35,10 @@ statevector kernel serves ``dr_forward_batch`` and the compile step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,136 +139,123 @@ class DRParams:
 
 
 # --- kernel -----------------------------------------------------------------
-# An n-qubit state is a list of 2^n complex amplitude arrays (qubit 0 is the
-# most significant bit of the list index), each broadcast over the batch, so
-# a gate is a handful of broadcast multiplies per amplitude pair and a CNOT
-# only reorders the list.  Gates read their coefficients from one table per
-# call (``_coeffs``).
+# The kernel runs in the frame of the encoding gate.  With V the eigenvectors
+# of its Pauli on every qubit, the encoding on n qubits is
+# V diag(exp(-i w_a x)) V^dagger with w_a = (n - 2 popcount a) / 2, one phase
+# multiply that every edge shares.  Everything from one encoding gate to the
+# next (the trainable gates, the CNOT ring that ends a layer and the change
+# to the next encoding's frame) is one 2^n x 2^n matrix per (layer, edge),
+# stacked over its gradient slots.  A state is (2^n, E, N): amplitudes
+# (qubit 0 is the most significant bit of the index), edges, inputs.
+
+_PAULI = {"rx": np.array([[0, 1], [1, 0]]), "ry": np.array([[0, -1j], [1j, 0]]),
+          "rz": np.diag([1, -1])}
+# the +1 and -1 eigenvectors of each gate's Pauli, as columns
+_EIGEN = {"rx": np.array([[1, 1], [1, -1]]) / np.sqrt(2),
+          "ry": np.array([[1, 1], [1j, -1j]]) / np.sqrt(2), "rz": np.eye(2)}
 
 
-def _gate_coeffs(kind: str, a):
-    # (u, v) of rotations by the angles a, rx's -i sin folded into v; all
-    # complex, as numpy casts a real factor of a complex product per call
-    if kind == "rz":
-        p = np.exp(-0.5j * np.asarray(a))
-        return p, np.conj(p)
-    half = a / 2.0
-    v = np.sin(half).astype(np.complex128)
-    return np.cos(half).astype(np.complex128), -1j * v if kind == "rx" else v
+class _Plan(NamedTuple):
+    """What a wiring fixes, in the encoding frames.  ``w`` (2^n,) are the
+    encoding's phase frequencies and ``psi0`` is |0...0> in the first
+    encoding's frame.  A stage is an encoding gate and the trainable gates
+    after it, up to the next encoding gate, as (params, gens, fixed,
+    variant): the gates' parameter indices; their generators -i P in the
+    stage's frame, so that a gate by angle a is cos(a/2) I + sin(a/2) gen;
+    the fixed factor that follows them (the ring if the stage ends a layer,
+    then the change to the next encoding's frame; None when that is the
+    identity); and each gradient slot's variant per qubit (see ``_build``).
+    The readout Z_0 in the first frame is a signed permutation,
+    (Z_0 psi)_a = sign_a psi_perm_a."""
 
-
-def _derived(kind: str, u, v):
-    # (u, v) of the transposed rotations (G^T = G^-1 for ry, G for rx, rz)
-    # and of rotations by a + pi: -i P G, P the generator, twice dG/da
-    if kind == "rz":
-        return (u, v), (-1j * u, 1j * v)
-    return ((u, v), (v.imag, -1j * u)) if kind == "rx" else ((u, -v), (-v, u))
-
-
-def _gate_apply(kind: str, coeffs, s0, s1):
-    u, v = coeffs
-    if kind == "rx":
-        return u * s0 + v * s1, v * s0 + u * s1
-    if kind == "ry":
-        return u * s0 - v * s1, v * s0 + u * s1
-    return u * s0, v * s1  # rz
+    w: np.ndarray
+    psi0: np.ndarray
+    stages: tuple
+    perm: np.ndarray
+    sign: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _ops(n: int, entangle: bool, template: GateTemplate, L: int) -> tuple:
-    """The circuit as a flat op list, layer by layer.  A rotation is
-    (kind, index, pairs): index is None for an encoding gate, else (p, (l, q))
-    for parameter p on qubit q of layer l, and the gate mixes the amplitude
-    pairs (i, i | bit) of its qubit.  An entangling ring of CNOTs
-    (0->1, ..., n-1->0) ends a layer as ("cnot", perm, inverse) with
-    new_state[i] = state[perm[i]]."""
-    dim = 2**n
-    ops = []
-    for l in range(L):
-        for kind, source in template.gates:
-            for q in range(n):
-                bit = 1 << (n - 1 - q)
-                pairs = tuple((i, i | bit) for i in range(dim) if not i & bit)
-                ops.append((kind, None if source == "input" else (source, (l, q)), pairs))
-        if entangle and n > 1:
-            perm = list(range(dim))
-            for c in range(n):
-                cbit, tbit = 1 << (n - 1 - c), 1 << (n - 1 - (c + 1) % n)
-                perm = [perm[i ^ tbit if i & cbit else i] for i in range(dim)]
-            inverse = sorted(range(dim), key=perm.__getitem__)
-            ops.append(("cnot", tuple(perm), tuple(inverse)))
-    return tuple(ops)
-
-
-def _coeffs(xs: np.ndarray, thetas: np.ndarray, n: int, template: GateTemplate,
-            grad: bool) -> dict:
-    """Every gate's (u, v), one ``_gate_coeffs`` call per template entry
-    over all layers, qubits and edges; with ``grad`` also its transposes'
-    and its gates' on ``_sweeps``' tangent slots."""
-    # angles (P, L, n, 1, E): gate (l, q) has one row against the batch (N, E)
-    angles = (thetas if n > 1 else thetas[:, :, None]).transpose(3, 0, 2, 1)[:, :, :, None]
-    slots = np.arange(1 + n * template.params_per_layer)
-    table = {}
+def _plan(n: int, entangle: bool, template: GateTemplate) -> _Plan:
+    d = 2**n
+    stages = []
     for kind, source in template.gates:
-        key = kind if source == "input" else source
-        if key in table:
-            continue
-        fwd = _gate_coeffs(kind, xs if source == "input" else angles[source])
-        if not grad:
-            table[key] = (fwd,)
-        elif source == "input":
-            table[key] = fwd, _derived(kind, *fwd)[0], fwd
-        else:  # slot 1 + p n + q runs -i P G at p's gate on qubit q
-            tr, der = _derived(kind, *fwd)
-            own = (slots == 1 + n * source + np.arange(n)[:, None]).reshape(n, -1, 1, 1)
-            table[key] = fwd, tr, tuple(np.where(own, d[:, :, None], c[:, :, None])
-                                         for c, d in zip(fwd, der))
-    return table
-
-
-def _setup(xs: np.ndarray, thetas: np.ndarray, n: int):
-    # returns (batch shape, |0...0>): the batch is (N, E)
-    batch = (len(xs), thetas.shape[1])
-    state = [np.ones(batch, dtype=np.complex128)]
-    state += [np.zeros(batch, dtype=np.complex128) for _ in range(2**n - 1)]
-    return batch, state
-
-
-def _sweep(state: list, ops, table: dict, which: int = 0) -> list:
-    """Run ``ops`` on ``state`` in place: the ops (``which`` = 0), their
-    transposes (1) or the ops on tangent slots (2)."""
-    for kind, index, pairs in ops:
-        if kind == "cnot":  # index holds perm, pairs its inverse
-            state[:] = [state[i] for i in (pairs if which == 1 else index)]
-            continue
-        if index is None:
-            coeffs = table[kind][which]
+        if source == "input":
+            stages.append((kind, [], []))
         else:
-            u, v = table[index[0]][which]
-            coeffs = u[index[1]], v[index[1]]
-        for i, j in pairs:
-            state[i], state[j] = _gate_apply(kind, coeffs, state[i], state[j])
-    return state
+            V = _EIGEN[stages[-1][0]]
+            stages[-1][1].append(source)
+            stages[-1][2].append(np.round(V.conj().T @ (-1j * _PAULI[kind]) @ V))
+    idx = np.arange(d)
+    entangled = entangle and n > 1
+    ring = np.eye(d)
+    for c in range(n if entangled else 0):  # CNOTs 0->1, ..., n-1->0
+        cbit, tbit = 1 << (n - 1 - c), 1 << (n - 1 - (c + 1) % n)
+        ring = ring[np.where(idx & cbit, idx ^ tbit, idx)]
+    frames = [reduce(np.kron, [_EIGEN[kind]] * n) for kind, _, _ in stages]
+    plan = []
+    for i, (kind, params, gens) in enumerate(stages):
+        j = (i + 1) % len(stages)
+        fixed = None
+        if (entangled and j == 0) or stages[j][0] != kind:
+            fixed = frames[j].conj().T @ (ring if j == 0 else np.eye(d)) @ frames[i]
+        # slot 1 + q P + j runs variant 1 + j on qubit q, variant 0 elsewhere
+        variant = np.kron(np.eye(n, dtype=int), np.arange(1, len(params) + 1)[:, None])
+        variant = np.concatenate([np.zeros((1, n), dtype=int), variant])
+        plan.append((np.array(params, dtype=int), gens, fixed, variant))
+    V = frames[0]
+    Z0 = np.round(V.conj().T @ np.diag(np.where(idx < d // 2, 1.0, -1.0)) @ V)
+    perm = np.abs(Z0).argmax(axis=1)
+    w = (n - 2 * np.array([bin(a).count("1") for a in range(d)])) / 2
+    return _Plan(w, V.conj()[0], tuple(plan), perm, Z0[idx, perm])
 
 
-def _z0(state: list) -> np.ndarray:
-    # <Z> on qubit 0: the first half of the list has it in |0>
-    half = len(state) // 2
-    p = [s.real**2 + s.imag**2 for s in state]
-    return sum(p[1:half], p[0]) - sum(p[half + 1:], p[half])
+def _build(thetas: np.ndarray, n: int, stages: tuple) -> list:
+    """Per stage of a ``_Plan``, its matrices (L, E, (1 + n P_s) 2^n, 2^n) for
+    an edge stack ``thetas``: rows [0, 2^n) take a state just after the
+    stage's encoding gate to the next encoding's frame, and gradient slot
+    1 + q P_s + j does so with the stage's gate j on qubit q run as
+    R(a + pi), twice that gate's derivative.  One cos and one sin of every
+    angle feed them all.  The build keeps its 2x2 and 2^n x 2^n axes in
+    front, so that each step is a few long elementwise products."""
+    half = (thetas if n > 1 else thetas[:, :, None]).transpose(3, 2, 0, 1) / 2
+    cos, sin = np.cos(half), np.sin(half)  # (P, n, L, E)
+    blocks = []
+    for params, gens, fixed, variant in stages:
+        # variant v of a qubit's gates runs gate v - 1 as -sin(a/2) I + cos(a/2) gen
+        own = np.eye(len(params), len(params) + 1, 1, dtype=bool)[:, :, None, None, None]
+        c, s = cos[params, None], sin[params, None]
+        alpha, beta = np.where(own, -s, c), np.where(own, c, s)  # (gate, variant, n, L, E)
+        # a qubit's gates and their products have the form [[u, -v*], [v, u*]]
+        # of SU(2), so each is kept as (u, v)
+        u, v = np.ones(alpha.shape[1:]), np.zeros(alpha.shape[1:])
+        for j, (a, b, gen) in enumerate(zip(alpha, beta, gens)):
+            uj, vj = a + b * gen[0, 0], b * gen[1, 0]
+            u, v = (uj, vj) if j == 0 else (uj * u - vj.conj() * v, vj * u + uj.conj() * v)
+        # each slot's kron over the qubits of their variants
+        w = np.array([[u, -v.conj()], [v, u.conj()]])[:, :, variant, np.arange(n)]
+        m = w[:, :, :, 0]
+        for q in range(1, n):
+            m = m[:, None, :, None] * w[None, :, None, :, :, q]
+            m = m.reshape((2 * len(m), 2 * m.shape[2]) + m.shape[4:])
+        d, _, S, L, E = m.shape
+        m = m.transpose(4, 0, 3, 2, 1)  # (E, d, L, S, d): an edge's matrices side by side
+        if fixed is not None:  # one product per edge for all layers and slots
+            m = (fixed @ m.reshape(E, d, L * S * d)).reshape(m.shape)
+        blocks.append(m.transpose(2, 0, 3, 1, 4).reshape(L, E, S * d, d))
+    return blocks
 
 
 def _forward(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
              template: GateTemplate) -> np.ndarray:
     """<Z> (N, E) for inputs ``xs`` (N, 1) against an edge stack
-    ``thetas`` (L, E, P) for n = 1 or (L, E, n, P)."""
-    _, state = _setup(xs, thetas, n)
-    ops = _ops(n, entangle, template, thetas.shape[0])
-    return _z0(_sweep(state, ops, _coeffs(xs, thetas, n, template, False)))
+    ``thetas`` (L, E, P) for n = 1 or (L, E, n, P): the values of
+    ``_grad``, so that both give a sample the same bits."""
+    return _grad(xs, thetas, n, entangle, template)[0]
 
 
-# samples per block of _grad's batch: a block keeps each circuit layer's
-# tangents until the reverse sweep has read them
+# samples per block of _grad's batch: a block keeps each stage's state and
+# gradient slots until the reverse sweep has read them
 _BLOCK = 2048
 
 
@@ -272,54 +265,56 @@ def _grad(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
     ``_forward``: (f, dtheta) with f (N, E) and dtheta (L, N) + thetas.shape[1:],
     each entry at its (layer, input, edge, [qubit,] param-index) slot,
     computed in blocks of about ``_BLOCK`` samples along the inputs."""
-    N, E = len(xs), thetas.shape[1]
-    step = max(1, _BLOCK // max(1, E))  # an all-pruned wiring group compiles E = 0
-    if N <= step:
-        return _sweeps(xs, thetas, n, entangle, template)
-    f, dtheta = np.empty((N, E)), np.empty(thetas.shape[:1] + (N,) + thetas.shape[1:])
-    for a in range(0, N, step):
-        f[a:a + step], dtheta[:, a:a + step] = _sweeps(xs[a:a + step], thetas, n,
-                                                       entangle, template)
-    return f, dtheta
+    L, E = thetas.shape[:2]
+    plan = _plan(n, entangle, template)
+    blocks = _build(thetas, n, plan.stages)
+    # the inputs padded with zeros to whole groups of 4: zgemm rounds a
+    # column by a path that depends on the column count mod 4, so a sample
+    # gets the same bits in any batch and any block
+    x = np.zeros(-(-len(xs) // 4) * 4)
+    x[:len(xs)] = xs[:, 0]
+    phase = np.exp(-1j * np.multiply.outer(plan.w, x))
+    f = np.empty((E, len(x)))
+    g = np.empty((L, n, template.params_per_layer, E, len(x)))
+    step = 4 * max(1, _BLOCK // (4 * max(1, E)))  # an all-pruned wiring group compiles E = 0
+    for a in range(0, len(x), step):
+        _sweeps(phase[:, a:a + step], blocks, plan, f[:, a:a + step], g[..., a:a + step])
+    dtheta = g[..., :len(xs)].transpose(0, 4, 3, 1, 2)
+    return f[:, :len(xs)].T, dtheta if n > 1 else dtheta[..., 0, :]
 
 
-def _sweeps(xs: np.ndarray, thetas: np.ndarray, n: int, entangle: bool,
-            template: GateTemplate):
-    # _grad on one block.  Within a layer amplitude i stacks psi_i over one
-    # slot per trainable gate, 1 + p n + q for parameter p on qubit q; each
-    # slot runs the layer as psi does but its own gate G as -i P G, so it
-    # ends holding twice the derivative of the layer's output
-    batch, psi = _setup(xs, thetas, n)
-    L, P = thetas.shape[0], template.params_per_layer
-    ops = _ops(n, entangle, template, L)
-    table = _coeffs(xs, thetas, n, template, True)
-    per = len(ops) // L
-    psi = [s[None] for s in psi]
-    tangents = []
-    for l in range(L):
-        _sweep(psi, ops[l * per:(l + 1) * per], table, 2)
-        tangents.append([s[1:] for s in psi])
-        psi = [s[:1] for s in psi]
-    psi = [s[0] for s in psi]
-    f = _z0(psi)
-
-    # the reverse sweep carries mu = conj(lam), lam = Z_0 psi_N: at a layer's
-    # end d<Z>/dtheta = Re <lam|slot>, and G^T mu = conj(G^dagger lam)
-    half = len(psi) // 2
-    mu = [np.conj(s) if i < half else -np.conj(s) for i, s in enumerate(psi)]
-    g = np.empty((L, n * P) + batch)
-    for l in range(L - 1, -1, -1):
+def _sweeps(phase: np.ndarray, blocks: list, plan: _Plan, f: np.ndarray, g: np.ndarray):
+    # _grad on one block of inputs, the encoding's phases (2^n, N): writes f
+    # (E, N) and g (L, n, P, E, N).  States are (2^n, E, N); a product reads
+    # and writes them through (E, 2^n, N) views, one BLAS call per edge.  The
+    # forward sweep keeps every stage's product, the state over its
+    # gradient slots; the reverse sweep carries mu = conj(lam), lam =
+    # Z_0 psi_final pulled back to a stage's end, where d<Z>/dtheta of a slot
+    # is Re <lam|slot>, and a stage B D pulls mu back to D B^T mu
+    _, psi, stages, perm, sign = plan
+    d, (E, N) = len(psi), f.shape
+    psi, phase = psi[:, None, None], phase[:, None]
+    outs = []
+    for l in range(len(g)):
+        for B in blocks:
+            outs.append(np.empty((B.shape[2], E, N), dtype=complex))
+            np.matmul(B[l], (psi * phase).transpose(1, 0, 2), out=outs[-1].transpose(1, 0, 2))
+            psi = outs[-1][:d]
+    lam = sign[:, None, None] * psi[perm]
+    f[...] = (psi.conj() * lam).real.sum(axis=0)
+    mu = lam.conj()
+    for k in range(len(outs) - 1, -1, -1):
         # released once read, so that the sweep's temporaries reuse their
         # memory instead of growing the heap, which glibc then trims
-        slots = tangents.pop()
-        acc = mu[0] * slots[0]
-        for a, t in zip(mu[1:], slots[1:]):
-            acc += a * t
-        g[l] = acc.real
-        if l:
-            _sweep(mu, reversed(ops[l * per:(l + 1) * per]), table, 1)
-    dtheta = np.moveaxis(g.reshape((L, P, n) + batch), (1, 2), (-1, -2))
-    return f, dtheta if n > 1 else dtheta[..., 0, :]
+        l, i = divmod(k, len(stages))
+        params = stages[i][0]
+        slots = outs.pop()[d:].reshape(g.shape[1], len(params), d, E, N)
+        g[l][:, params] = (slots * mu).real.sum(axis=2)
+        if k:
+            back = np.empty_like(mu)
+            np.matmul(blocks[i][l][:, :d].transpose(0, 2, 1), mu.transpose(1, 0, 2),
+                      out=back.transpose(1, 0, 2))
+            mu = back * phase
 
 
 # --- compiler ---------------------------------------------------------------
@@ -347,18 +342,21 @@ def _series(thetas: np.ndarray, n: int, entangle: bool, template: GateTemplate):
     basis [1, cos kx (k = 1..K), sin kx (k = 1..K)] and their Jacobian
     J = dc/dthetas, shaped thetas.shape + (2K+1,).  All edges run in one
     forward and one reverse sweep over the 2K+1 nodes (see ``_grad``); the
-    DFT is then one stacked product of the same shape per edge, so an
-    edge's c and J do not depend on which edges share the call.
+    DFT is then one product for c and one for J per edge, each of the same
+    shape for every edge, so an edge's c and J do not depend on which edges
+    share the call.
     """
     K = template.degree(n, thetas.shape[0])
     N = 2 * K + 1
     nodes = (2.0 * np.pi / N) * np.arange(N)
     f, dtheta = _grad(nodes[:, None], thetas, n, entangle, template)
-    # c = D f and J = dtheta D^T, contracting the nodes edge by edge
+    # c = D f and J = dtheta D^T, contracting the nodes edge by edge, J in
+    # one (L n P, 2K+1) product per edge
     DT = _dft(K).T
     c = np.matmul(np.ascontiguousarray(f.T)[:, None, :], DT)[:, 0]
-    J = np.matmul(np.ascontiguousarray(np.moveaxis(dtheta, 1, -1)), DT)
-    return K, c, J
+    (L, E), S = thetas.shape[:2], math.prod(thetas.shape[2:])
+    J = np.matmul(dtheta.reshape(L, N, E, S).transpose(2, 0, 3, 1).reshape(E, L * S, N), DT)
+    return K, c, J.reshape((E, L) + thetas.shape[2:] + (N,)).swapaxes(0, 1)
 
 
 # --- public ops -------------------------------------------------------------

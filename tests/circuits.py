@@ -2,7 +2,8 @@
 
 The package evaluates an edge only from its compiled Fourier series, so the
 gradients here come from the two places the network reads them: the angle
-gradients from the kernel's adjoint sweep (``dr._grad``), and the input
+gradients from the kernel's gradient slots and reverse sweep
+(``dr._grad``), and the input
 derivative from the compiled series, d/dx of
 c_0 + sum_k c_k cos kx + c_{K+k} sin kx, as ``network_backward`` takes it.
 """

@@ -201,6 +201,23 @@ class TestGradient:
         f4, dth4 = drmod._grad(xs, thetas, n, True, DEFAULT_TEMPLATE)
         assert f4.tobytes() == f.tobytes() and dth4.tobytes() == dth.tobytes()
 
+    @pytest.mark.parametrize("n,entangle", [(1, False), (2, True), (3, True)])
+    def test_samples_do_not_depend_on_their_company(self, n, entangle):
+        # a sample gets the same bits however many inputs share the call:
+        # zgemm rounds a column by a path that depends on the column count
+        # mod 4, so the kernel pads the inputs to whole groups of 4
+        rng = np.random.default_rng(n)
+        P = DEFAULT_TEMPLATE.params_per_layer
+        thetas = rng.uniform(-np.pi, np.pi, (3, 4) + ((P,) if n == 1 else (n, P)))
+        xs = rng.uniform(0, np.pi, (65, 1))
+        f, dth = drmod._grad(xs, thetas, n, entangle, DEFAULT_TEMPLATE)
+        for N in (1, 2, 3, 5, 8, 13, 65):
+            fN, dthN = drmod._grad(xs[-N:], thetas, n, entangle, DEFAULT_TEMPLATE)
+            assert fN.tobytes() == f[-N:].tobytes(), N
+            assert dthN.tobytes() == dth[:, -N:].tobytes(), N
+            fN = drmod._forward(xs[-N:], thetas, n, entangle, DEFAULT_TEMPLATE)
+            assert fN.tobytes() == f[-N:].tobytes(), N
+
 
 class TestMultiQubit:
     def test_unentangled_equals_single_qubit(self):
@@ -314,6 +331,27 @@ def test_series_of_an_empty_stack_is_empty(n):
     thetas = np.zeros((3, 0) + ((P,) if n == 1 else (n, P)))
     K, c, J = drmod._series(thetas, n, True, DEFAULT_TEMPLATE)
     assert c.shape == (0, 2 * K + 1) and J.shape == thetas.shape + (2 * K + 1,)
+
+
+@pytest.mark.parametrize("n,entangle", [(1, False), (2, True), (3, False)])
+def test_several_encodings_per_layer_match_oracles(n, entangle):
+    # a template may encode more than once per layer, each gate in its own
+    # frame, and a stage may hold no trainable gate
+    tpl = GateTemplate((("ry", "input"), ("rz", 0), ("rx", "input"), ("ry", 1),
+                        ("rz", "input")))
+    p = init_dr_params(2, np.random.default_rng(n), num_qubits=n, entangle=entangle,
+                       template=tpl)
+    kw = {"template": list(tpl.gates), "num_qubits": n, "entangle": entangle}
+    K, c, _ = drmod._series(p.thetas[:, None], n, entangle, tpl)
+    assert K == 6 * n
+    for x in (0.3, 2.2):
+        want = oracles.naive_dr_forward(x, p.thetas, **kw)
+        assert dr_forward_batch(x, p) == pytest.approx(want, abs=1e-12)
+        kx = np.arange(1, K + 1) * x
+        assert c[0] @ np.concatenate([[1.0], np.cos(kx), np.sin(kx)]) == pytest.approx(
+            want, abs=1e-12)
+        np.testing.assert_allclose(kernel_dtheta(x, p), oracles.shift_rule_dtheta(x, p.thetas, **kw),
+                                   rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("template", ["default", "su2"])

@@ -1,9 +1,11 @@
 """The statevector simulation inside the DR kernel, piece by piece.
 
-The kernel keeps an n-qubit state as a list of 2^n amplitude arrays
-(qubit 0 = most significant bit).  These tests drive its gate, CNOT-ring
-and readout steps directly and compare them with the dense matrices of
-``tests/oracles.py``.
+The kernel runs in the frame of the encoding gate.  With an ``rz``
+encoding that frame is the computational basis (qubit 0 = most significant
+bit), so there its pieces -- the matrices a stage's trainable gates build,
+the CNOT ring, |0...0> and the Z_0 readout -- are the plain gates.  These
+tests build them through the kernel and compare them with the dense
+matrices of ``tests/oracles.py``.
 """
 
 import numpy as np
@@ -14,52 +16,57 @@ from quirk.dr import (
     CapacityError,
     DRParams,
     GateTemplate,
-    _gate_apply,
-    _gate_coeffs,
-    _ops,
-    _setup,
-    _sweep,
-    _z0,
+    _EIGEN,
+    _build,
+    _plan,
     dr_forward_batch,
 )
 
 import oracles
 
 
-def gate_matrix(kind, a):
-    """The kernel's 2x2 gate: column k is its action on basis state k."""
-    n0, n1 = _gate_apply(kind, _gate_coeffs(kind, a),
-                         np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex))
-    return np.stack([n0, n1])
+def _plan_rz(n, kind=None, entangle=False):
+    # an rz encoding, then one trainable gate of ``kind`` (or none)
+    gates = (("rz", "input"),) + (((kind, 0),) if kind else ())
+    return _plan(n, entangle, GateTemplate(gates))
 
 
 def apply_gate(state, kind, a, q):
-    """Run the kernel's op for ``kind`` on qubit q of a dense state
-    (..., 2^n), with the angle fed in as the input (an encoding gate, whose
-    coefficients the kernel's table keeps under its kind)."""
+    """The kernel's stage matrix for one ``kind`` gate by angle a on qubit q
+    (every other qubit's angle 0) applied to a dense state (..., 2^n)."""
     n = int(np.log2(state.shape[-1]))
-    op = _ops(n, False, GateTemplate(((kind, "input"),)), 1)[q]
-    table = {kind: (_gate_coeffs(kind, np.float64(a)),)}
-    out = _sweep(list(np.moveaxis(state, -1, 0)), [op], table)
-    return np.stack(out, axis=-1)
+    thetas = np.zeros((1, 1, n, 1))
+    thetas[0, 0, q, 0] = a
+    block = _build(thetas if n > 1 else thetas[:, :, 0], n, _plan_rz(n, kind).stages)[0]
+    return state @ block[0, 0, :2**n].T
+
+
+def gate_matrix(kind, a):
+    """The kernel's 2x2 gate: column k is its action on basis state k."""
+    return apply_gate(np.eye(2, dtype=complex), kind, a, 0).T
+
+
+def ring_matrix(n):
+    """The kernel's entangling CNOT ring on n qubits, the fixed factor that
+    ends a layer."""
+    fixed = _plan_rz(n, entangle=True).stages[0][2]
+    assert fixed is not None
+    return fixed
 
 
 def apply_ring(state):
     """The kernel's entangling CNOT ring on a dense state (2^n,)."""
-    n = int(np.log2(state.shape[-1]))
-    op = _ops(n, True, GateTemplate(), 1)[-1]
-    assert op[0] == "cnot"
-    return np.array(_sweep(list(state), [op], {}))
+    return ring_matrix(int(np.log2(state.shape[-1]))) @ state
 
 
 def zero_state(n):
-    thetas = np.zeros((1, 1, 2) if n == 1 else (1, 1, n, 2))
-    _, state = _setup(np.zeros((1, 1)), thetas, n)
-    return np.array(state)[:, 0, 0]
+    return _plan_rz(n).psi0
 
 
 def z0(state):
-    return _z0(list(np.moveaxis(state, -1, 0)))
+    """The kernel's readout Re <psi|Z_0 psi> of dense states (..., 2^n)."""
+    plan = _plan_rz(int(np.log2(state.shape[-1])))
+    return np.sum(state.conj() * plan.sign * state[..., plan.perm], axis=-1).real
 
 
 class TestGateMatrices:
@@ -88,6 +95,32 @@ class TestGateMatrices:
     def test_matches_textbook_matrices(self, gate, oracle):
         for a in np.linspace(-2 * np.pi, 2 * np.pi, 17):
             np.testing.assert_allclose(gate_matrix(gate, a), oracle(a), atol=1e-15)
+
+    @pytest.mark.parametrize("encoding", ["rx", "ry", "rz"])
+    def test_in_every_encoding_frame(self, encoding):
+        # a stage's gate in the frame V of its encoding's Pauli is V^dagger G V
+        V = _EIGEN[encoding]
+        for kind, oracle in oracles.GATE_MATS.items():
+            stages = _plan(1, False, GateTemplate(((encoding, "input"), (kind, 0)))).stages
+            for a in np.linspace(-2 * np.pi, 2 * np.pi, 9):
+                block = _build(np.full((1, 1, 1), a), 1, stages)[0][0, 0, :2]
+                np.testing.assert_allclose(V @ block @ V.conj().T, oracle(a), atol=1e-15)
+
+    @pytest.mark.parametrize("encoding", ["rx", "ry", "rz"])
+    def test_encoding_is_a_phase_in_its_frame(self, encoding):
+        # the encoding on every qubit is V diag(exp(-i w x)) V^dagger
+        for n in (1, 2, 3):
+            plan = _plan(n, False, GateTemplate(((encoding, "input"),)))
+            V = np.eye(1)
+            for _ in range(n):
+                V = np.kron(V, _EIGEN[encoding])
+            np.testing.assert_allclose(plan.psi0, V.conj().T[:, 0], atol=1e-15)
+            for x in (-1.3, 0.4, 2.9):
+                want = np.eye(2**n)
+                for q in range(n):
+                    want = oracles.embed_1q(oracles.GATE_MATS[encoding](x), q, n) @ want
+                np.testing.assert_allclose(V @ np.diag(np.exp(-1j * plan.w * x)) @ V.conj().T,
+                                           want, atol=1e-14)
 
     def test_composition(self):
         # successive rotations about one axis add their angles
@@ -159,8 +192,8 @@ class TestCnot:
                 want = oracles.cnot_matrix(c, (c + 1) % n, n) @ want
             got = apply_ring(state)
             np.testing.assert_allclose(got, want, atol=1e-14)
-            _, _, inverse = _ops(n, True, GateTemplate(), 1)[-1]
-            np.testing.assert_array_equal(got[list(inverse)], state)
+            # the reverse sweep undoes it by its transpose
+            np.testing.assert_array_equal(ring_matrix(n).T @ got, state)
 
     def test_bell_state(self):
         # ry(pi/2) on qubit 1, then the ring: |00> -> (|00> + |11>)/sqrt(2)
@@ -170,7 +203,7 @@ class TestCnot:
 
     def test_control_equals_target_rejected(self):
         # one qubit has no ring: the would-be CNOT(0, 0) is never built
-        assert all(op[0] != "cnot" for op in _ops(1, True, GateTemplate(), 3))
+        assert _plan(1, True, GateTemplate()).stages[0][2] is None
         thetas = np.random.default_rng(2).uniform(-np.pi, np.pi, (3, 2))
         assert dr_forward_batch(0.7, DRParams(thetas, entangle=True)) == dr_forward_batch(
             0.7, DRParams(thetas))

@@ -65,7 +65,7 @@ def test_one_edge_evaluator():
     compiled series: none calls the statevector kernel, and the compile
     reaches the kernel only through dr._series."""
     src = Path(__file__).resolve().parents[1] / "src" / "quirk"
-    kernel = {"dr_forward_batch", "_forward", "_grad", "_sweep"}
+    kernel = {"dr_forward_batch", "_forward", "_grad", "_build", "_sweeps"}
     calls, series = [], 0
     for module in ("cli", "interpret", "network", "train"):
         tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
@@ -109,22 +109,30 @@ def test_network_builds_no_scalar_trig():
     assert not trig, f"network.py calls np.cos / np.sin: {trig}"
 
 
-def test_compile_takes_gate_trig_once_per_template_entry(monkeypatch):
-    """dr._series takes every gate's coefficients in one vectorised call
-    per template entry (encoding gates of one kind share theirs), however
-    many layers, qubits and edges it compiles: trig per op, once per layer
-    and qubit, must not come back."""
+def test_compile_takes_its_trig_once(monkeypatch):
+    """dr._series takes one np.cos and one np.sin of all its angles and one
+    np.exp of all its encoding phases, however many layers, qubits and
+    edges it compiles: trig per gate, layer or qubit must not come back."""
     from quirk import dr
-    calls, real = [], dr._gate_coeffs
-    monkeypatch.setattr(dr, "_gate_coeffs", lambda kind, a: calls.append(kind) or real(kind, a))
+    calls = []
+
+    class Counted:
+        def __getattr__(self, name):
+            real = getattr(np, name)
+            if name not in ("cos", "sin", "exp"):
+                return real
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
     for template in (dr.DEFAULT_TEMPLATE, dr.SU2_TEMPLATE):
         P = template.params_per_layer
-        entries = len({kind if s == "input" else s for kind, s in template.gates})
-        for n, L in ((1, 1), (1, 4), (3, 2)):
-            calls.clear()
+        for n, L in ((1, 1), (1, 4), (3, 1), (3, 4)):
             thetas = np.random.default_rng(L).uniform(-3, 3, (L, 6) + ((P,) if n == 1 else (n, P)))
+            dr._series(thetas, n, n > 1, template)  # fills the memoised plan and DFT
+            monkeypatch.setattr(dr, "np", Counted())
+            calls.clear()
             dr._series(thetas, n, n > 1, template)
-            assert len(calls) == entries, (template, n, L, calls)
+            monkeypatch.undo()
+            assert sorted(calls) == ["cos", "exp", "sin"], (template, n, L, calls)
 
 
 @pytest.mark.parametrize("batch_size", [None, 16])
